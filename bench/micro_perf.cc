@@ -2,8 +2,9 @@
  * @file
  * Google-benchmark microbenchmarks of the simulator itself: per-access
  * cost of each write scheme's controller path, the stream generator,
- * and the SEC-DED codec. These guard the simulation's own performance
- * (the full figure sweeps run hundreds of millions of accesses).
+ * the SEC-DED codec and one fault-map campaign. These guard the
+ * simulation's own performance (the full figure sweeps run hundreds of
+ * millions of accesses).
  */
 
 #include <benchmark/benchmark.h>
@@ -23,6 +24,8 @@
 #include "mem/cache.hh"
 #include "mem/simd.hh"
 #include "sram/ecc.hh"
+#include "sram/fault_injection.hh"
+#include "sram/vmodel.hh"
 #include "trace/markov_stream.hh"
 #include "trace/replay.hh"
 #include "trace/spec_profiles.hh"
@@ -255,6 +258,30 @@ BM_SecDedDecodeCorrected(benchmark::State &state)
         benchmark::DoNotOptimize(sram::SecDed72::decode(cw).data);
 }
 BENCHMARK(BM_SecDedDecodeCorrected);
+
+/** One fault-map campaign at the two-level Vdd sweep's L2 shape
+ *  (1024 rows x 64 words, interleave degree 4). */
+void
+BM_FaultMapCampaign(benchmark::State &state, sram::CellType cell,
+                    double vdd)
+{
+    sram::FaultMapConfig cfg;
+    cfg.vdd = vdd;
+    cfg.cell = cell;
+    cfg.pfailCell = sram::VddModel().at(vdd, cell).pfailCell;
+    cfg.rows = 1024;
+    cfg.wordsPerRow = 64;
+    cfg.degree = 4;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sram::runFaultMapCampaign(cfg));
+}
+BENCHMARK_CAPTURE(BM_FaultMapCampaign, 6T@0.70, sram::CellType::SixT, 0.70)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FaultMapCampaign, 6T@0.50, sram::CellType::SixT, 0.50)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FaultMapCampaign, 8T@0.60, sram::CellType::EightT,
+                  0.60)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Append one kind:"micro" perf record per supported dispatch level

@@ -45,28 +45,34 @@ FaultMapCache::key(const sram::FaultMapConfig &cfg)
 sram::FaultMapStats
 FaultMapCache::evaluate(const sram::FaultMapConfig &cfg)
 {
-    const std::string k = key(cfg);
+    std::shared_ptr<Entry> entry;
     {
         const std::lock_guard<std::mutex> lock(_mutex);
-        const auto it = _entries.find(k);
-        if (it != _entries.end()) {
-            ++_stats.hits;
-            publish(_stats);
-            return it->second;
-        }
-        ++_stats.misses;
+        auto &slot = _entries[key(cfg)];
+        if (!slot)
+            slot = std::make_shared<Entry>();
+        entry = slot;
     }
-    sram::FaultMapStats stats;
-    {
+
+    // Per-entry lock: the first caller runs the campaign, later callers
+    // for the same key block here until its result is stored.
+    const std::lock_guard<std::mutex> fill(entry->fillMutex);
+    const bool hit = entry->filled;
+    if (!hit) {
         const obs::prof::ScopedPhase fault_scope(
             obs::prof::Phase::FaultMap);
-        stats = sram::runFaultMapCampaign(cfg);
+        entry->stats = sram::runFaultMapCampaign(cfg);
+        entry->filled = true;
     }
     const std::lock_guard<std::mutex> lock(_mutex);
-    _entries[k] = stats;
-    _stats.entries = _entries.size();
+    if (hit) {
+        ++_stats.hits;
+    } else {
+        ++_stats.misses;
+        ++_stats.entries;
+    }
     publish(_stats);
-    return stats;
+    return entry->stats;
 }
 
 FaultMapCache::Stats

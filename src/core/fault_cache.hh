@@ -27,6 +27,7 @@
 #define C8T_CORE_FAULT_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -52,9 +53,9 @@ class FaultMapCache
      * The stats of the campaign described by @p cfg: served from the
      * memo when an identical config was evaluated before (by anyone,
      * in any request), run via sram::runFaultMapCampaign otherwise.
-     * Concurrent first requests for the same key may both run the
-     * campaign; both arrive at the identical value, so last-write-wins
-     * is harmless (campaigns are pure).
+     * Each key is filled once: concurrent first requests for it wait
+     * on the first caller's campaign and count as hits, while
+     * requests for other keys proceed in parallel.
      */
     sram::FaultMapStats evaluate(const sram::FaultMapConfig &cfg);
 
@@ -68,8 +69,16 @@ class FaultMapCache
     static std::string key(const sram::FaultMapConfig &cfg);
 
   private:
+    /** One key's slot; fillMutex is held while its campaign runs. */
+    struct Entry
+    {
+        std::mutex fillMutex;
+        bool filled = false;
+        sram::FaultMapStats stats;
+    };
+
     mutable std::mutex _mutex;
-    std::unordered_map<std::string, sram::FaultMapStats> _entries;
+    std::unordered_map<std::string, std::shared_ptr<Entry>> _entries;
     Stats _stats;
 };
 

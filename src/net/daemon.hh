@@ -108,6 +108,9 @@ class Daemon
     /** True once serve() has bound the socket and accepts clients. */
     bool ready() const { return _ready.load(); }
 
+    /** Jobs this daemon has accepted so far. */
+    std::uint64_t jobsAccepted() const { return _jobsAccepted.load(); }
+
     const DaemonConfig &config() const { return _cfg; }
 
   private:

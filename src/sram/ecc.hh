@@ -13,6 +13,7 @@
 #define C8T_SRAM_ECC_HH
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 
 namespace c8t::sram
@@ -31,8 +32,13 @@ class Codeword72
     /** Set bit @p idx to @p v. */
     void set(std::uint32_t idx, bool v);
 
-    /** Flip bit @p idx (fault injection). */
-    void flip(std::uint32_t idx);
+    /** Flip bit @p idx (fault injection; inline for the campaign's
+     *  per-fault loop). */
+    void flip(std::uint32_t idx)
+    {
+        assert(idx < bits);
+        _w[idx >> 6] ^= 1ull << (idx & 63);
+    }
 
     /** Raw storage (two little-endian 64-bit words; bits 64..71 in
      *  the low byte of the second word). */
@@ -42,6 +48,8 @@ class Codeword72
     bool operator==(const Codeword72 &other) const = default;
 
   private:
+    friend class SecDed72;
+
     std::array<std::uint64_t, 2> _w{0, 0};
 };
 
@@ -87,9 +95,6 @@ class SecDed72
      * alias — exactly the regime bit interleaving exists to avoid.
      */
     static EccDecodeResult decode(const Codeword72 &cw);
-
-  private:
-    static bool isCheckPosition(std::uint32_t pos);
 };
 
 } // namespace c8t::sram

@@ -1,6 +1,6 @@
 /**
  * @file
- * Upset campaign implementation.
+ * Upset campaign and fault-map campaign implementation.
  */
 
 #include "sram/fault_injection.hh"
@@ -10,60 +10,40 @@
 #include <cassert>
 #include <cmath>
 
+#include "sram/interleave.hh"
+#include "trace/rng.hh"
+
 namespace c8t::sram
 {
-
-EccProtectedRow::EccProtectedRow(std::uint32_t words, std::uint32_t degree)
-    : _map(words, Codeword72::bits, degree),
-      _codewords(words, SecDed72::encode(0))
-{}
-
-void
-EccProtectedRow::writeWord(std::uint32_t w, std::uint64_t data)
-{
-    assert(w < words());
-    _codewords[w] = SecDed72::encode(data);
-}
-
-EccDecodeResult
-EccProtectedRow::readWord(std::uint32_t w) const
-{
-    assert(w < words());
-    return SecDed72::decode(_codewords[w]);
-}
-
-void
-EccProtectedRow::strike(std::uint32_t col)
-{
-    assert(col < columns());
-    const std::uint32_t word = _map.wordOf(col);
-    const std::uint32_t bit = _map.bitOf(col);
-    _codewords[word].flip(bit);
-}
 
 UpsetStats
 runUpsetCampaign(const UpsetCampaign &cfg)
 {
     assert(cfg.burstLength >= 1);
+    const InterleaveMap layout(cfg.words, Codeword72::bits, cfg.degree);
     trace::Rng rng(cfg.seed);
     UpsetStats out;
 
-    std::vector<std::uint64_t> original(cfg.words);
+    std::vector<Codeword72> errors(cfg.words);
+    std::vector<std::uint32_t> hits_per_word(cfg.words);
 
     for (std::uint32_t trial = 0; trial < cfg.trials; ++trial) {
-        EccProtectedRow row(cfg.words, cfg.degree);
-        for (std::uint32_t w = 0; w < cfg.words; ++w) {
-            original[w] = rng.next();
-            row.writeWord(w, original[w]);
-        }
+        // The row's random contents cannot change an outcome (see
+        // classifyWordFault); they are drawn only to keep each seed's
+        // burst positions.
+        for (std::uint32_t w = 0; w < cfg.words; ++w)
+            rng.next();
 
         // One physically contiguous burst, fully inside the row.
         const std::uint32_t start = static_cast<std::uint32_t>(
-            rng.below(row.columns() - cfg.burstLength + 1));
-        std::vector<std::uint32_t> hits_per_word(cfg.words, 0);
-        for (std::uint32_t i = 0; i < cfg.burstLength; ++i) {
-            row.strike(start + i);
-            ++hits_per_word[row.wordOfColumn(start + i)];
+            rng.below(layout.columns() - cfg.burstLength + 1));
+        std::fill(errors.begin(), errors.end(), Codeword72{});
+        std::fill(hits_per_word.begin(), hits_per_word.end(), 0);
+        for (std::uint32_t col = start; col < start + cfg.burstLength;
+             ++col) {
+            const std::uint32_t w = layout.wordOf(col);
+            errors[w].flip(layout.bitOf(col));
+            ++hits_per_word[w];
         }
 
         bool all_recovered = true;
@@ -73,20 +53,15 @@ runUpsetCampaign(const UpsetCampaign &cfg)
             if (hits_per_word[w] == 0)
                 continue;
 
-            const EccDecodeResult r = row.readWord(w);
-            switch (r.status) {
-              case EccStatus::Corrected:
+            // Decoding the bare error pattern gives the stored word's
+            // status; non-zero data means the read-back data is wrong.
+            const EccDecodeResult r = SecDed72::decode(errors[w]);
+            if (r.status == EccStatus::Corrected)
                 ++out.corrected;
-                break;
-              case EccStatus::DetectedUncorrectable:
+            if (r.status == EccStatus::DetectedUncorrectable) {
                 ++out.detectedUncorrectable;
                 all_recovered = false;
-                break;
-              case EccStatus::Ok:
-                break;
-            }
-            if (r.status != EccStatus::DetectedUncorrectable &&
-                r.data != original[w]) {
+            } else if (r.data != 0) {
                 ++out.silentCorruptions;
                 all_recovered = false;
             }
@@ -125,121 +100,154 @@ faultMapSeed(const FaultMapConfig &cfg)
     return trace::splitmix64(state);
 }
 
+/** Physical cells in @p cfg's array: rows * wordsPerRow * 72. */
+std::uint64_t
+totalCells(const FaultMapConfig &cfg)
+{
+    return static_cast<std::uint64_t>(cfg.rows) * cfg.wordsPerRow *
+           Codeword72::bits;
+}
+
+/**
+ * Call @p fn with the flattened index of every faulty cell of @p cfg's
+ * array, in ascending order. This is the one sampler behind both the
+ * materialized map and the streaming campaign, so both see the same
+ * RNG stream and the same fault positions.
+ */
+template <typename Fn>
+void
+forEachFaultyCell(const FaultMapConfig &cfg, Fn &&fn)
+{
+    assert(cfg.rows >= 1 && cfg.wordsPerRow >= 1 && cfg.degree >= 1);
+    const std::uint64_t total = totalCells(cfg);
+    const double p = cfg.pfailCell;
+    if (p <= 0.0)
+        return;
+    if (p >= 1.0) {
+        for (std::uint64_t i = 0; i < total; ++i)
+            fn(i);
+        return;
+    }
+
+    // Skip-ahead sampling: instead of one Bernoulli draw per cell, draw
+    // the geometric gap to the next faulty cell. One RNG draw per
+    // *fault* keeps the draw O(faults) — at the high-Vdd end of a
+    // sweep p is ~1e-12 and a per-cell loop would dominate the sweep.
+    // The gap is floor(log(u) / log1p(-p)) >= 0; the integer
+    // comparison and the truncating conversion below both give the
+    // floor's result without calling it.
+    trace::Rng rng(faultMapSeed(cfg));
+    const double log1mp = std::log1p(-p);
+    std::uint64_t cell = 0;
+    while (true) {
+        const double u = std::max(rng.uniform(), 1e-18);
+        const double gap = std::log(u) / log1mp;
+        if (gap >= static_cast<double>(total - cell))
+            break;
+        cell += static_cast<std::uint64_t>(gap);
+        fn(cell);
+        if (++cell >= total)
+            break;
+    }
+}
+
 } // namespace
 
 FaultMap
 buildFaultMap(const FaultMapConfig &cfg)
 {
-    assert(cfg.rows >= 1 && cfg.wordsPerRow >= 1 && cfg.degree >= 1);
     FaultMap map;
     map.config = cfg;
-
-    const std::uint64_t columns =
-        static_cast<std::uint64_t>(cfg.wordsPerRow) * Codeword72::bits;
-    map.totalCells = static_cast<std::uint64_t>(cfg.rows) * columns;
-
-    trace::Rng rng(faultMapSeed(cfg));
-    const double p = cfg.pfailCell;
-    if (p <= 0.0)
-        return map;
-
-    if (p >= 1.0) {
-        map.faultyCells.resize(map.totalCells);
-        for (std::uint64_t i = 0; i < map.totalCells; ++i)
-            map.faultyCells[i] = i;
-        return map;
-    }
-
-    // Skip-ahead sampling: instead of one Bernoulli draw per cell, draw
-    // the geometric gap to the next faulty cell. One RNG draw per
-    // *fault* keeps the build O(faults) — at the high-Vdd end of a
-    // sweep p is ~1e-12 and a per-cell loop would dominate the sweep.
-    const double log1mp = std::log1p(-p);
-    std::uint64_t cell = 0;
-    while (true) {
-        const double u = std::max(rng.uniform(), 1e-18);
-        const double gap = std::floor(std::log(u) / log1mp);
-        if (gap >= static_cast<double>(map.totalCells - cell))
-            break;
-        cell += static_cast<std::uint64_t>(gap);
+    map.totalCells = totalCells(cfg);
+    forEachFaultyCell(cfg, [&](std::uint64_t cell) {
         map.faultyCells.push_back(cell);
-        if (++cell >= map.totalCells)
-            break;
-    }
+    });
     return map;
 }
 
-FaultMapStats
-evaluateFaultMap(const FaultMap &map)
+WordFault
+classifyWordFault(const Codeword72 &error)
 {
-    const FaultMapConfig &cfg = map.config;
-    FaultMapStats out;
-    out.words = static_cast<std::uint64_t>(cfg.rows) * cfg.wordsPerRow;
-
-    const std::uint64_t columns =
-        static_cast<std::uint64_t>(cfg.wordsPerRow) * Codeword72::bits;
-
-    // Row fill data is deterministic but independent of the fault
-    // pattern, so the same logical contents are evaluated at every
-    // operating point.
-    std::uint64_t fill_state = faultMapSeed(cfg) ^ 0x9e3779b97f4a7c15ull;
-    trace::Rng fill_rng(trace::splitmix64(fill_state));
-
-    std::vector<std::uint64_t> original(cfg.wordsPerRow);
-    std::size_t next_fault = 0;
-
-    for (std::uint32_t r = 0; r < cfg.rows; ++r) {
-        const std::uint64_t row_base = static_cast<std::uint64_t>(r) * columns;
-        const std::uint64_t row_end = row_base + columns;
-
-        // Fault-free rows decode trivially; skip the codec work but
-        // keep the fill stream position independent of the fault map.
-        if (next_fault >= map.faultyCells.size() ||
-            map.faultyCells[next_fault] >= row_end) {
-            for (std::uint32_t w = 0; w < cfg.wordsPerRow; ++w)
-                fill_rng.next();
-            out.cleanWords += cfg.wordsPerRow;
-            continue;
-        }
-
-        EccProtectedRow row(cfg.wordsPerRow, cfg.degree);
-        for (std::uint32_t w = 0; w < cfg.wordsPerRow; ++w) {
-            original[w] = fill_rng.next();
-            row.writeWord(w, original[w]);
-        }
-
-        std::vector<std::uint32_t> hits_per_word(cfg.wordsPerRow, 0);
-        while (next_fault < map.faultyCells.size() &&
-               map.faultyCells[next_fault] < row_end) {
-            const auto col = static_cast<std::uint32_t>(
-                map.faultyCells[next_fault] - row_base);
-            row.strike(col);
-            ++hits_per_word[row.wordOfColumn(col)];
-            ++next_fault;
-        }
-
-        for (std::uint32_t w = 0; w < cfg.wordsPerRow; ++w) {
-            if (hits_per_word[w] == 0) {
-                ++out.cleanWords;
-                continue;
-            }
-            const EccDecodeResult res = row.readWord(w);
-            if (res.status == EccStatus::DetectedUncorrectable) {
-                ++out.detectedUncorrectable;
-            } else if (res.data != original[w]) {
-                ++out.silentCorruptions;
-            } else {
-                ++out.corrected;
-            }
-        }
-    }
-    return out;
+    // SEC-DED is linear and every codeword has a zero syndrome and even
+    // parity, so decode(encode(d) ^ e) reports decode(e)'s status and
+    // returns d ^ decode(e).data: the data survives exactly when
+    // decoding the bare error pattern yields zero data.
+    const EccDecodeResult r = SecDed72::decode(error);
+    if (r.status == EccStatus::DetectedUncorrectable)
+        return WordFault::DetectedUncorrectable;
+    return r.data != 0 ? WordFault::SilentCorruption : WordFault::Corrected;
 }
 
 FaultMapStats
 runFaultMapCampaign(const FaultMapConfig &cfg)
 {
-    return evaluateFaultMap(buildFaultMap(cfg));
+    const InterleaveMap layout(cfg.wordsPerRow, Codeword72::bits,
+                               cfg.degree);
+    const std::uint64_t columns = layout.columns();
+    FaultMapStats out;
+    out.words = static_cast<std::uint64_t>(cfg.rows) * cfg.wordsPerRow;
+
+    // Faults arrive in ascending cell order, so one row at a time is
+    // open: its words' error patterns, and the words hit so far.
+    std::vector<Codeword72> errors(cfg.wordsPerRow);
+    std::vector<std::uint32_t> touched;
+    std::uint64_t row_base = 0;
+    std::uint64_t row_end = 0;
+
+    // Logical (word, bit) of every physical column, tabulated at the
+    // first fault so fault-free campaigns never pay for it.
+    std::vector<std::uint32_t> word_of;
+    std::vector<std::uint8_t> bit_of;
+    const auto tabulate = [&] {
+        word_of.resize(columns);
+        bit_of.resize(columns);
+        for (std::uint32_t w = 0; w < cfg.wordsPerRow; ++w) {
+            for (std::uint32_t b = 0; b < Codeword72::bits; ++b) {
+                const std::uint32_t col = layout.toPhysical(w, b);
+                word_of[col] = w;
+                bit_of[col] = static_cast<std::uint8_t>(b);
+            }
+        }
+    };
+    const auto closeRow = [&] {
+        for (const std::uint32_t w : touched) {
+            switch (classifyWordFault(errors[w])) {
+              case WordFault::Corrected:
+                ++out.corrected;
+                break;
+              case WordFault::DetectedUncorrectable:
+                ++out.detectedUncorrectable;
+                break;
+              case WordFault::SilentCorruption:
+                ++out.silentCorruptions;
+                break;
+            }
+            errors[w] = Codeword72{};
+        }
+        touched.clear();
+    };
+
+    forEachFaultyCell(cfg, [&](std::uint64_t cell) {
+        if (cell >= row_end) {
+            if (word_of.empty())
+                tabulate();
+            closeRow();
+            row_base = cell - cell % columns;
+            row_end = row_base + columns;
+        }
+        const auto col = static_cast<std::size_t>(cell - row_base);
+        const std::uint32_t w = word_of[col];
+        // Each cell is drawn once, so a word's pattern is all-zero
+        // exactly until its first fault.
+        if (errors[w] == Codeword72{})
+            touched.push_back(w);
+        errors[w].flip(bit_of[col]);
+    });
+    closeRow();
+
+    out.cleanWords = out.words - out.corrected -
+                     out.detectedUncorrectable - out.silentCorruptions;
+    return out;
 }
 
 } // namespace c8t::sram

@@ -18,51 +18,9 @@
 
 #include "sram/cell.hh"
 #include "sram/ecc.hh"
-#include "sram/interleave.hh"
-#include "trace/rng.hh"
 
 namespace c8t::sram
 {
-
-/**
- * An ECC-protected row: N logical words, each stored as a 72-bit
- * SEC-DED codeword, laid out physically through an InterleaveMap over
- * the 72-bit codeword columns.
- */
-class EccProtectedRow
-{
-  public:
-    /**
-     * @param words  Number of 64-bit data words in the row.
-     * @param degree Interleave degree (1 = non-interleaved).
-     */
-    EccProtectedRow(std::uint32_t words, std::uint32_t degree);
-
-    /** Store @p data into logical word @p w (re-encodes the codeword). */
-    void writeWord(std::uint32_t w, std::uint64_t data);
-
-    /** Decode logical word @p w. */
-    EccDecodeResult readWord(std::uint32_t w) const;
-
-    /** Flip the physical column @p col (0 .. words*72-1). */
-    void strike(std::uint32_t col);
-
-    /** Logical word that physical column @p col belongs to. */
-    std::uint32_t wordOfColumn(std::uint32_t col) const
-    {
-        return _map.wordOf(col);
-    }
-
-    /** Total physical columns. */
-    std::uint32_t columns() const { return _map.columns(); }
-
-    /** Number of logical words. */
-    std::uint32_t words() const { return _map.words(); }
-
-  private:
-    InterleaveMap _map;
-    std::vector<Codeword72> _codewords;
-};
 
 /** Configuration of one upset campaign. */
 struct UpsetCampaign
@@ -109,9 +67,9 @@ struct UpsetStats
 };
 
 /**
- * Run an upset campaign: per trial, fill a fresh row with random data,
- * strike a random physically-contiguous burst, decode every word and
- * classify the outcome.
+ * Run an upset campaign: per trial, strike a random physically
+ * contiguous burst into a row of SEC-DED words laid out through an
+ * InterleaveMap, decode every hit word and classify the outcome.
  */
 UpsetStats runUpsetCampaign(const UpsetCampaign &cfg);
 
@@ -166,15 +124,6 @@ struct FaultMap
 
     /** Total physical cells in the array. */
     std::uint64_t totalCells = 0;
-
-    /** Fraction of cells faulty in this draw. */
-    double faultFraction() const
-    {
-        return totalCells == 0
-                   ? 0.0
-                   : static_cast<double>(faultyCells.size()) /
-                         static_cast<double>(totalCells);
-    }
 };
 
 /** Per-word SEC-DED outcome counts over one evaluated fault map. */
@@ -189,7 +138,8 @@ struct FaultMapStats
     /** Words whose single faulty cell the code corrected. */
     std::uint64_t corrected = 0;
 
-    /** Words flagged detected-uncorrectable (2 faulty cells). */
+    /** Words flagged detected-uncorrectable (every 2-cell word, some
+     *  with more). */
     std::uint64_t detectedUncorrectable = 0;
 
     /** Words that decoded Ok/Corrected but to WRONG data (3+ faulty
@@ -221,14 +171,30 @@ struct FaultMapStats
  */
 FaultMap buildFaultMap(const FaultMapConfig &cfg);
 
-/**
- * Evaluate @p map through the interleaved SEC-DED layout: fill every
- * row with deterministic pseudo-random data, flip the mapped faulty
- * cells, decode every word and classify the outcome.
- */
-FaultMapStats evaluateFaultMap(const FaultMap &map);
+/** SEC-DED outcome of a word whose stored codeword has faulty cells. */
+enum class WordFault : std::uint8_t {
+    /** The code corrected the error; the data reads back intact. */
+    Corrected,
+    /** The decode flagged detected-uncorrectable. */
+    DetectedUncorrectable,
+    /** The decode claimed success but returned wrong data. */
+    SilentCorruption,
+};
 
-/** buildFaultMap + evaluateFaultMap in one step. */
+/**
+ * Outcome of reading any word whose codeword had the non-zero error
+ * pattern @p error flipped into it. SEC-DED(72,64) is linear, so the
+ * outcome depends on the pattern alone, never on the stored data.
+ */
+WordFault classifyWordFault(const Codeword72 &error);
+
+/**
+ * Evaluate the fault map buildFaultMap(@p cfg) would draw through the
+ * interleaved SEC-DED layout and count each word's outcome. The same
+ * sampler streams the faulty cells row by row into per-word error
+ * patterns, classified by classifyWordFault when their row ends: no
+ * fault vector, fill data, encode or decode of stored words.
+ */
 FaultMapStats runFaultMapCampaign(const FaultMapConfig &cfg);
 
 } // namespace c8t::sram

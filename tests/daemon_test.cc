@@ -341,12 +341,7 @@ TEST(DaemonTest, ConcurrentClientsAllGetCorrectBytes)
 
 TEST(DaemonTest, StopDrainsAcceptedJobs)
 {
-    net::DaemonConfig cfg;
-    cfg.heartbeatMs = 10; // frequent metric publication for the poll
-    const std::uint64_t accepted_before =
-        obs::globalMetrics().daemon().jobsAccepted;
-
-    DaemonFixture fx(cfg);
+    DaemonFixture fx;
     net::DaemonClient client(fx.socket());
     client.submit(kRunSpec);
     client.submit(
@@ -355,10 +350,8 @@ TEST(DaemonTest, StopDrainsAcceptedJobs)
 
     // Wait until the reader has actually accepted both requests, then
     // ask for shutdown: a drain, not an abort.
-    ASSERT_TRUE(eventually([&] {
-        return obs::globalMetrics().daemon().jobsAccepted >=
-               accepted_before + 2;
-    }));
+    ASSERT_TRUE(
+        eventually([&] { return fx.daemon().jobsAccepted() >= 2; }));
     fx.daemon().stop();
 
     int finals = 0;

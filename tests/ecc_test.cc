@@ -109,6 +109,108 @@ TEST(SecDed, StatusNames)
                  "detected_uncorrectable");
 }
 
+/** Hamming position @p pos (1..71) holds a check bit. */
+bool
+isCheckPosition(std::uint32_t pos)
+{
+    return (pos & (pos - 1)) == 0;
+}
+
+/** Bit-by-bit reference encoder: the textbook Hamming construction. */
+Codeword72
+referenceEncode(std::uint64_t data)
+{
+    Codeword72 cw;
+    std::uint32_t data_idx = 0;
+    for (std::uint32_t pos = 1; pos <= 71; ++pos)
+        if (!isCheckPosition(pos))
+            cw.set(pos, (data >> data_idx++) & 1);
+    for (std::uint32_t p = 1; p <= 64; p <<= 1) {
+        bool parity = false;
+        for (std::uint32_t pos = 1; pos <= 71; ++pos)
+            if (pos != p && (pos & p))
+                parity ^= cw.get(pos);
+        cw.set(p, parity);
+    }
+    bool overall = false;
+    for (std::uint32_t pos = 1; pos <= 71; ++pos)
+        overall ^= cw.get(pos);
+    cw.set(0, overall);
+    return cw;
+}
+
+/** Bit-by-bit reference decoder: syndrome as the xor of set positions. */
+EccDecodeResult
+referenceDecode(Codeword72 cw)
+{
+    std::uint32_t syndrome = 0;
+    bool parity_error = cw.get(0);
+    for (std::uint32_t pos = 1; pos <= 71; ++pos) {
+        if (cw.get(pos)) {
+            syndrome ^= pos;
+            parity_error = !parity_error;
+        }
+    }
+    EccDecodeResult r;
+    if (syndrome == 0 && !parity_error) {
+        r.status = EccStatus::Ok;
+    } else if (parity_error && syndrome <= 71) {
+        cw.flip(syndrome);
+        r.status = EccStatus::Corrected;
+    } else {
+        r.status = EccStatus::DetectedUncorrectable;
+    }
+    std::uint32_t data_idx = 0;
+    for (std::uint32_t pos = 1; pos <= 71; ++pos)
+        if (!isCheckPosition(pos))
+            r.data |= static_cast<std::uint64_t>(cw.get(pos)) << data_idx++;
+    return r;
+}
+
+TEST(SecDed, EncodeMatchesBitLoopReference)
+{
+    c8t::trace::Rng rng(4);
+    for (int i = 0; i < 10000; ++i) {
+        const std::uint64_t data = rng.next();
+        EXPECT_EQ(SecDed72::encode(data), referenceEncode(data));
+    }
+    for (std::uint32_t b = 0; b < 64; ++b)
+        EXPECT_EQ(SecDed72::encode(1ull << b), referenceEncode(1ull << b));
+}
+
+TEST(SecDed, DecodeMatchesBitLoopReferenceUpToThreeErrors)
+{
+    // Exhaustive over every 1-, 2- and 3-bit error pattern, each on
+    // fresh random data.
+    c8t::trace::Rng rng(5);
+    const auto check = [&](const Codeword72 &e) {
+        const std::uint64_t data = rng.next();
+        Codeword72 cw = SecDed72::encode(data);
+        for (std::uint32_t b = 0; b < Codeword72::bits; ++b)
+            if (e.get(b))
+                cw.flip(b);
+        const EccDecodeResult got = SecDed72::decode(cw);
+        const EccDecodeResult want = referenceDecode(cw);
+        ASSERT_EQ(got.status, want.status);
+        ASSERT_EQ(got.data, want.data);
+    };
+    for (std::uint32_t i = 0; i < Codeword72::bits; ++i) {
+        Codeword72 e;
+        e.flip(i);
+        check(e);
+        for (std::uint32_t j = i + 1; j < Codeword72::bits; ++j) {
+            e.flip(j);
+            check(e);
+            for (std::uint32_t k = j + 1; k < Codeword72::bits; ++k) {
+                e.flip(k);
+                check(e);
+                e.flip(k);
+            }
+            e.flip(j);
+        }
+    }
+}
+
 /** Parameterized single-bit sweep across data patterns. */
 class SecDedDataPattern : public ::testing::TestWithParam<std::uint64_t>
 {};

@@ -9,12 +9,14 @@
 
 #include <set>
 
+#include "ecc_protected_row.hh"
 #include "sram/fault_injection.hh"
 
 namespace
 {
 
 using namespace c8t::sram;
+using c8t::test::EccProtectedRow;
 
 TEST(EccProtectedRow, CleanReadsRoundTrip)
 {

@@ -7,12 +7,29 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <stdexcept>
 
 #include "core/analyzer.hh"
 #include "mem/addr.hh"
 #include "trace/markov_stream.hh"
 #include "trace/trace_io.hh"
+
+namespace c8t::trace
+{
+
+/**
+ * Without this, gtest prints a StreamParams parameter as its raw bytes,
+ * which include the address of the name's buffer, so the registered
+ * test names would differ from one build or run to the next.
+ */
+void
+PrintTo(const StreamParams &p, std::ostream *os)
+{
+    *os << p.name;
+}
+
+} // namespace c8t::trace
 
 namespace
 {

@@ -8,12 +8,14 @@
 #      way-compare fallback stays exercised on hardware that would
 #      otherwise always dispatch to SSE2/AVX2.
 #   2. Configure + build an ASan/UBSan tree (-DC8T_ASAN=ON) and run the
-#      stream/cache/sweep/alloc tests under it. halt_on_error is the
-#      sanitizer default, so any heap misuse fails the script.
+#      stream/cache/sweep/alloc and fault-map tests under it.
+#      halt_on_error is the sanitizer default, so any heap misuse fails
+#      the script.
 #   3. Configure + build a standalone UBSan tree (-DC8T_UBSAN=ON,
-#      -fno-sanitize-recover=all) and run the voltage-model tests
-#      under it (the numeric subsystem with the most UB surface:
-#      pow/exp/ceil scaling, bit_cast seeding, fault-map index math).
+#      -fno-sanitize-recover=all) and run the voltage-model, SEC-DED
+#      and fault-map tests under it (the numeric subsystem with the
+#      most UB surface: pow/exp/ceil scaling, bit_cast seeding,
+#      fault-map index math, codeword shifts and masks).
 #   4. Configure + build a TSan tree (-DC8T_TSAN=ON) and run the
 #      parallel sweep test under it (the data-race surface).
 #   5. Metrics smoke: run the fig11 sweep with the phase profiler off
@@ -73,22 +75,25 @@ echo "==== tier-1: full test suite, forced-scalar dispatch ===="
 C8T_SIMD=scalar \
     ctest --test-dir "$repo_root/build" --output-on-failure -j "$jobs"
 
-echo "==== asan: build + stream/sweep/alloc tests ===="
+echo "==== asan: build + stream/sweep/alloc/fault-map tests ===="
 cmake -B "$repo_root/build-asan" -S "$repo_root" -DC8T_ASAN=ON
 cmake --build "$repo_root/build-asan" -j "$jobs" --target \
     stream_identity_test simd_identity_test sweep_test \
-    hot_path_alloc_test functional_mem_test
+    hot_path_alloc_test functional_mem_test fault_map_reference_test
 for t in stream_identity_test simd_identity_test sweep_test \
-         hot_path_alloc_test functional_mem_test; do
+         hot_path_alloc_test functional_mem_test \
+         fault_map_reference_test; do
     echo "---- asan: $t ----"
     "$repo_root/build-asan/tests/$t"
 done
 
-echo "==== ubsan: build + voltage-model tests ===="
+echo "==== ubsan: build + voltage-model and fault-map tests ===="
 cmake -B "$repo_root/build-ubsan" -S "$repo_root" -DC8T_UBSAN=ON
 cmake --build "$repo_root/build-ubsan" -j "$jobs" --target \
-    vmodel_test vdd_sweep_test
-for t in vmodel_test vdd_sweep_test; do
+    vmodel_test vdd_sweep_test ecc_test fault_injection_test \
+    fault_map_reference_test
+for t in vmodel_test vdd_sweep_test ecc_test fault_injection_test \
+         fault_map_reference_test; do
     echo "---- ubsan: $t ----"
     "$repo_root/build-ubsan/tests/$t"
 done
