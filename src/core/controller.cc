@@ -28,6 +28,19 @@ storeLe(std::uint8_t *dst, std::uint64_t value, std::uint8_t size)
 
 } // anonymous namespace
 
+LatencyParams
+scaledLatency(const LatencyParams &base, const sram::VddModel &model,
+              double vdd)
+{
+    LatencyParams out = base;
+    if (vdd <= 0.0 || vdd == model.params().nominalVdd)
+        return out;
+    out.rowReadCycles = model.scaleCycles(base.rowReadCycles, vdd);
+    out.rowWriteCycles = model.scaleCycles(base.rowWriteCycles, vdd);
+    out.setBufferCycles = model.scaleCycles(base.setBufferCycles, vdd);
+    return out;
+}
+
 CacheController::CacheController(const ControllerConfig &config,
                                  mem::FunctionalMemory &memory)
     : _config(config), _traits(schemeTraits(config.scheme)),
@@ -45,26 +58,17 @@ CacheController::CacheController(const ControllerConfig &config,
     // Deferred energy accounting: precompute every per-event energy
     // once (the exact addends the per-access accumulation used), so
     // the hot path only bumps integer counters.
-    _rates = _energy.eventRates(_tags.layout().tagBits(),
-                                _config.cache.ways,
-                                _config.cache.setBytes());
+    _rates = eventRatesAt(_config.vdd);
 
     // Supply-voltage operating point (DESIGN.md §10): applied entirely
-    // here — the energy rates and the array latency cycle counts are
-    // rewritten once, so the hot path is identical whether a model is
-    // attached or not. The miss penalty models the next level of the
-    // hierarchy on its own supply and stays unscaled.
+    // here — the energy rates (above) and the array latency cycle
+    // counts are rewritten once, so the hot path is identical whether
+    // a model is attached or not.
     if (_config.vdd > 0.0 && _config.vdd != _config.vmodel.nominalVdd) {
         const sram::VddModel vm(_config.vmodel);
         _vddPoint = vm.at(_config.vdd, cellType());
         _vddActive = true;
-        _rates = vm.scaleRates(_rates, _config.vdd);
-        _config.latency.rowReadCycles =
-            vm.scaleCycles(_config.latency.rowReadCycles, _config.vdd);
-        _config.latency.rowWriteCycles =
-            vm.scaleCycles(_config.latency.rowWriteCycles, _config.vdd);
-        _config.latency.setBufferCycles =
-            vm.scaleCycles(_config.latency.setBufferCycles, _config.vdd);
+        _config.latency = scaledLatency(_config.latency, vm, _config.vdd);
         _vddSupply.set(_vddPoint.vdd);
         _vddEnergyScale.set(_vddPoint.energyScale);
         _vddLeakScale.set(_vddPoint.leakageScale);
@@ -328,10 +332,18 @@ CacheController::fetchBlock(mem::Addr block_addr, std::uint8_t *dst,
     req.type = trace::AccessType::Read;
     const AccessOutcome out = access(req);
 
-    // Architectural copy of the whole block image (freshest source:
-    // Set-Buffer over array over memory); uncounted, like peekWord().
-    for (std::uint32_t off = 0; off < len; off += 8)
-        storeLe(dst + off, peekWord(block_addr + off), 8);
+    // Architectural copy of the whole block image, uncounted like
+    // peekWord(). The read allocated the block, so one probe finds its
+    // way and the freshest row image (Set-Buffer over array) holds all
+    // of it contiguously.
+    const mem::LookupResult r = _tags.probe(block_addr);
+    assert(r.hit);
+    const std::uint32_t set = _tags.layout().setOf(block_addr);
+    const std::uint32_t e = entryOfSet(set);
+    const sram::RowData &row =
+        (_tagBuffer && e < _tagBuffer->entries())
+            ? _setBuffer->row(e) : _array.peekRow(set);
+    std::memcpy(dst, row.data() + rowOffsetOf(block_addr, r.way), len);
     return out.latencyCycles;
 }
 
@@ -875,30 +887,41 @@ CacheController::peekWord(mem::Addr addr) const
     return extractData(row, offset, 8);
 }
 
+sram::EnergyEventRates
+CacheController::eventRatesAt(double vdd) const
+{
+    const sram::EnergyEventRates nominal = _energy.eventRates(
+        _tags.layout().tagBits(), _config.cache.ways,
+        _config.cache.setBytes());
+    if (vdd <= 0.0 || vdd == _config.vmodel.nominalVdd)
+        return nominal;
+    return sram::VddModel(_config.vmodel).scaleRates(nominal, vdd);
+}
+
 double
-CacheController::dynamicEnergy() const
+CacheController::dynamicEnergy(const sram::EnergyEventRates &rates) const
 {
     // Count-then-multiply materialization: each addend below is the
     // product of an integer event count (exact) and the per-event
     // constant the per-access accumulation would have added, so the
     // total differs from a sequential accumulation only in summation
     // order (ULP-level rounding; the deferred-energy test pins this).
-    double e = static_cast<double>(_ecounts.rowReads) * _rates.rowRead +
-               static_cast<double>(_ecounts.rowWrites) * _rates.rowWrite;
+    double e = static_cast<double>(_ecounts.rowReads) * rates.rowRead +
+               static_cast<double>(_ecounts.rowWrites) * rates.rowWrite;
     for (std::uint32_t b = 1;
          b <= sram::EnergyEventRates::kMaxRequestBytes; ++b) {
         e += static_cast<double>(_ecounts.partialWrites[b]) *
-                 _rates.partialWrite[b] +
+                 rates.partialWrite[b] +
              static_cast<double>(_ecounts.setBufferReads[b]) *
-                 _rates.setBufferRead[b] +
+                 rates.setBufferRead[b] +
              static_cast<double>(_ecounts.setBufferWrites[b]) *
-                 _rates.setBufferWrite[b];
+                 rates.setBufferWrite[b];
     }
     e += static_cast<double>(_ecounts.setBufferReadRows) *
-             _rates.setBufferReadRow +
+             rates.setBufferReadRow +
          static_cast<double>(_ecounts.setBufferWriteRows) *
-             _rates.setBufferWriteRow +
-         static_cast<double>(_ecounts.tagCompares) * _rates.tagCompare;
+             rates.setBufferWriteRow +
+         static_cast<double>(_ecounts.tagCompares) * rates.tagCompare;
     return e;
 }
 

@@ -135,6 +135,18 @@ struct ControllerConfig
     sram::VddModelParams vmodel;
 };
 
+/**
+ * The array timing a controller runs at supply @p vdd (DESIGN.md §10):
+ * row read, row write and Set-Buffer cycles scaled by
+ * VddModel::scaleCycles. The miss penalty models the next level on its
+ * own supply and stays as given. A detached supply (0 or exactly
+ * nominal) returns @p base unchanged. The CacheController constructor
+ * applies it and the Vdd sweep keys its timing classes on it, so the
+ * two cannot disagree.
+ */
+LatencyParams scaledLatency(const LatencyParams &base,
+                            const sram::VddModel &model, double vdd);
+
 /** Per-access result. */
 struct AccessOutcome
 {
@@ -495,7 +507,21 @@ class CacheController
 
     /** Accumulated dynamic energy (J) of the data path, materialized
      *  from the deferred event counts. */
-    double dynamicEnergy() const;
+    double dynamicEnergy() const { return dynamicEnergy(_rates); }
+
+    /**
+     * The same event counts priced at @p rates. With
+     * eventRatesAt(v) this is, bit for bit, the dynamicEnergy() of a
+     * controller built at supply v that replayed the same events —
+     * which the Vdd sweep uses to price every grid point of a timing
+     * class from one replay.
+     */
+    double dynamicEnergy(const sram::EnergyEventRates &rates) const;
+
+    /** The per-event energies of this array at supply @p vdd: the
+     *  nominal rates, scaled by VddModel::scaleRates unless the supply
+     *  is detached (0 or exactly nominal). */
+    sram::EnergyEventRates eventRatesAt(double vdd) const;
 
     /** Distribution of write-group sizes (writes per group). */
     const stats::Distribution &groupSizes() const { return _groupSizes; }

@@ -79,9 +79,18 @@ class JsonParser
         const char c = peek();
         switch (c) {
         case '{':
-            return object();
-        case '[':
-            return array();
+        case '[': {
+            if (_depth == kMaxJsonDepth) {
+                throw std::invalid_argument(
+                    "job spec: JSON nesting deeper than " +
+                    std::to_string(kMaxJsonDepth) + " levels at byte " +
+                    std::to_string(_pos));
+            }
+            ++_depth;
+            JsonValue v = c == '{' ? object() : array();
+            --_depth;
+            return v;
+        }
         case '"': {
             JsonValue v;
             v.kind = JsonValue::Kind::String;
@@ -263,6 +272,7 @@ class JsonParser
 
     const std::string &_text;
     std::size_t _pos = 0;
+    std::size_t _depth = 0; ///< open arrays/objects around _pos
 };
 
 [[noreturn]] void

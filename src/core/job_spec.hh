@@ -61,10 +61,16 @@ struct JsonValue
     bool isNumber() const { return kind == Kind::Number; }
 };
 
+/** Deepest array/object nesting parseJson accepts. Job specs nest
+ *  three levels at most; the cap keeps hostile input from recursing
+ *  the parser off the end of its stack. */
+constexpr std::size_t kMaxJsonDepth = 64;
+
 /**
  * Parse @p text as one JSON document.
  * @throws std::invalid_argument (with byte offset) on malformed
- *         input, trailing garbage or duplicate object keys.
+ *         input, trailing garbage, duplicate object keys or nesting
+ *         deeper than kMaxJsonDepth (a "job spec:" error).
  */
 JsonValue parseJson(const std::string &text);
 

@@ -81,11 +81,157 @@ geometryFor(const VddSweepSpec &spec, WriteScheme scheme)
         scheme == WriteScheme::WordGranular};
 }
 
+/** What every point of one scheme's curve shares. */
+struct CurveSetup
+{
+    /** Cell the scheme runs on. */
+    sram::CellType cell = sram::CellType::EightT;
+
+    /** Interleave degree of the swept array (the fault-map key). */
+    std::uint32_t degree = 1;
+
+    /** Swept array leakage power at nominal Vdd (W). */
+    double leakNominal = 0.0;
+
+    /** Leakage power outside the grid's reach (W): the pinned L1 at
+     *  its own operating point in hierarchy mode, else 0. */
+    double leakFixed = 0.0;
+};
+
+CurveSetup
+curveSetup(const VddSweepSpec &spec, const sram::VddModel &model,
+           WriteScheme scheme)
+{
+    CurveSetup cs;
+    cs.cell = schemeTraits(scheme).requiresEightT ? sram::CellType::EightT
+                                                  : sram::CellType::SixT;
+    const sram::ArrayGeometry geom = geometryFor(spec, scheme);
+    cs.degree = geom.interleaveDegree;
+    cs.leakNominal =
+        sram::EnergyModel(geom, ControllerConfig{}.tech).leakagePower();
+
+    // Hierarchy mode adds the pinned L1's leakage at its own (fixed)
+    // operating point; the grid only scales the L2's.
+    if (!spec.lowerLevels.empty()) {
+        const SchemeTraits top_traits = schemeTraits(spec.topScheme);
+        const sram::CellType top_cell = top_traits.requiresEightT
+                                            ? sram::CellType::EightT
+                                            : sram::CellType::SixT;
+        const ControllerConfig defaults;
+        const sram::ArrayGeometry top_geom{
+            spec.cache.numSets(), spec.cache.setBytes(),
+            top_traits.requiresNonInterleaved ? 1u
+                                              : defaults.interleaveDegree,
+            spec.topScheme == WriteScheme::WordGranular};
+        const sram::EnergyModel top_em(top_geom, defaults.tech);
+        const double top_scale =
+            spec.topVdd > 0.0
+                ? model.at(spec.topVdd, top_cell).leakageScale
+                : 1.0;
+        cs.leakFixed = top_em.leakagePower() * top_scale;
+    }
+    return cs;
+}
+
+/**
+ * The grid partitioned into timing classes: groups of grid indices
+ * (each descending, the groups in grid order) whose swept level runs
+ * at the same scaled latencies. Supply voltage reaches a replay only
+ * through those latencies and the per-event energy rates, and the
+ * rates are applied after the run, so the points of one class share
+ * one replay exactly (DESIGN.md §10).
+ */
+std::vector<std::vector<std::size_t>>
+timingClasses(const VddSweepSpec &spec, const sram::VddModel &model)
+{
+    const LatencyParams base = spec.lowerLevels.empty()
+                                   ? ControllerConfig{}.latency
+                                   : spec.lowerLevels.front().latency;
+    std::vector<LatencyParams> keys;
+    std::vector<std::vector<std::size_t>> classes;
+    for (std::size_t gi = 0; gi < spec.grid.size(); ++gi) {
+        const LatencyParams lat = scaledLatency(base, model, spec.grid[gi]);
+        const auto it = std::find(keys.begin(), keys.end(), lat);
+        if (it == keys.end()) {
+            keys.push_back(lat);
+            classes.push_back({gi});
+        } else {
+            classes[static_cast<std::size_t>(it - keys.begin())].push_back(
+                gi);
+        }
+    }
+    return classes;
+}
+
+/**
+ * @p run, the snapshot of @p stack, re-priced at supply @p vdd: the
+ * swept level's dynamic energy from its event counts at that point's
+ * rates and the hierarchy total rebuilt in snapshotResult's addition
+ * order — bit for bit the snapshot of a stack built at @p vdd.
+ */
+SchemeRunResult
+repricedAt(SchemeRunResult run, const LevelStack &stack, bool hier,
+           double vdd)
+{
+    const CacheController &swept = stack.level(hier ? 1 : 0);
+    SchemeRunResult &level = hier ? run.levels.front() : run;
+    level.dynamicEnergy = swept.dynamicEnergy(swept.eventRatesAt(vdd));
+    level.totalDynamicEnergy = level.dynamicEnergy;
+    run.totalDynamicEnergy = run.dynamicEnergy;
+    for (const SchemeRunResult &lvl : run.levels)
+        run.totalDynamicEnergy += lvl.dynamicEnergy;
+    return run;
+}
+
+/** One grid point of one curve: the operating point, its fault map
+ *  (fault maps depend on (seed, vdd, geometry, cell) only, so schemes
+ *  of one cell flavour and degree share an evaluation, and the
+ *  process-global memo shares it across requests too) and the
+ *  per-access energy and delay of @p run. */
+VddPointResult
+pointAt(const VddSweepSpec &spec, const sram::VddModel &model,
+        const CurveSetup &cs, double vdd, SchemeRunResult run)
+{
+    VddPointResult pt;
+    pt.vdd = vdd;
+    pt.point = model.at(vdd, cs.cell);
+
+    sram::FaultMapConfig fmc;
+    fmc.runSeed = spec.runSeed;
+    fmc.vdd = vdd;
+    fmc.cell = cs.cell;
+    fmc.pfailCell = pt.point.pfailCell;
+    fmc.rows = spec.faultRows;
+    fmc.wordsPerRow =
+        std::max<std::uint32_t>(1, sweptShape(spec).setBytes() / 8);
+    fmc.degree = cs.degree;
+    pt.faults = globalFaultMapCache().evaluate(fmc);
+    pt.operational = pt.faults.postEccFailureRate() <= spec.failureThreshold;
+    pt.run = std::move(run);
+
+    const double requests = static_cast<double>(pt.run.requests);
+    if (requests > 0.0) {
+        const double period = model.clockPeriod();
+        const double seconds = static_cast<double>(pt.run.cycles) * period;
+        // totalDynamicEnergy == dynamicEnergy bit-identically for a
+        // single level; hierarchy-wide otherwise.
+        pt.dynamicEnergyPerAccess = pt.run.totalDynamicEnergy / requests;
+        pt.leakageEnergyPerAccess =
+            (cs.leakFixed + cs.leakNominal * pt.point.leakageScale) *
+            seconds / requests;
+        pt.energyPerAccess =
+            pt.dynamicEnergyPerAccess + pt.leakageEnergyPerAccess;
+        pt.cyclesPerAccess = static_cast<double>(pt.run.cycles) / requests;
+        pt.edpPerAccess = pt.energyPerAccess * pt.cyclesPerAccess * period;
+    }
+    return pt;
+}
+
 /** Append the kind:"vdd" perf record when C8T_BENCH_JSON is set. */
 void
 emitVddBenchJson(const std::string &label, const VddSweepResult &result,
                  const RunConfig &rc, unsigned workers,
-                 double wall_seconds,
+                 std::uint64_t replayed_config_runs, double wall_seconds,
                  const obs::prof::PhaseTimes *phases)
 {
     const char *path = std::getenv("C8T_BENCH_JSON");
@@ -114,6 +260,7 @@ emitVddBenchJson(const std::string &label, const VddSweepResult &result,
        << ",\"schemes\":" << result.curves.size()
        << ",\"workers\":" << workers
        << ",\"config_runs\":" << config_runs
+       << ",\"replayed_config_runs\":" << replayed_config_runs
        << ",\"warmup_accesses\":" << rc.warmupAccesses
        << ",\"measure_accesses\":" << rc.measureAccesses
        << ",\"simulated_accesses\":" << static_cast<std::uint64_t>(simulated)
@@ -157,6 +304,7 @@ struct VddSweepResult::Pending
     std::string label;
     RunConfig rc;
     unsigned workers = 0;
+    std::uint64_t replayedConfigRuns = 0;
     double wallSeconds = 0.0;
     obs::prof::PhaseTimes phasesBefore;
     bool profOn = false;
@@ -192,7 +340,8 @@ VddSweepResult::emitBenchRecord()
                 after.scopes[i] - p->phasesBefore.scopes[i];
         }
     }
-    emitVddBenchJson(p->label, *this, p->rc, p->workers, p->wallSeconds,
+    emitVddBenchJson(p->label, *this, p->rc, p->workers,
+                     p->replayedConfigRuns, p->wallSeconds,
                      p->profOn ? &run_phases : nullptr);
     obs::writeGlobalMetrics();
 }
@@ -317,39 +466,6 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
         phases_before = obs::globalMetrics().phaseTimes();
     }
     const sram::VddModel model(spec.model);
-
-    // One job per grid point; every job replays the identical stream
-    // (shared through streamKey) with one controller per scheme, the
-    // model attached at that point's voltage.
-    std::vector<SweepJob> jobs;
-    jobs.reserve(spec.grid.size());
-    for (const double vdd : spec.grid) {
-        SweepJob job;
-        job.makeGenerator = spec.makeGenerator;
-        job.streamKey = spec.streamKey;
-        job.vdd = vdd;
-        job.configs.reserve(spec.schemes.size());
-        for (const WriteScheme s : spec.schemes) {
-            ControllerConfig cfg;
-            cfg.cache = spec.cache;
-            cfg.vmodel = spec.model;
-            if (spec.lowerLevels.empty()) {
-                cfg.scheme = s;
-                cfg.vdd = vdd;
-            } else {
-                // Hierarchy mode: the L1 is pinned while the scheme
-                // axis and the grid voltage ride on the L2.
-                cfg.scheme = spec.topScheme;
-                cfg.vdd = spec.topVdd;
-                cfg.lowerLevels = spec.lowerLevels;
-                cfg.lowerLevels.front().scheme = s;
-                cfg.lowerLevels.front().vdd = vdd;
-            }
-            job.configs.push_back(cfg);
-        }
-        jobs.push_back(std::move(job));
-    }
-
     const bool hier = !spec.lowerLevels.empty();
 
     VddSweepResult result;
@@ -358,6 +474,70 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
     result.grid = spec.grid;
     result.hierarchy = hier;
 
+    std::vector<CurveSetup> setups;
+    setups.reserve(spec.schemes.size());
+    for (const WriteScheme s : spec.schemes)
+        setups.push_back(curveSetup(spec, model, s));
+
+    // One job per timing class: every job replays the identical stream
+    // (shared through streamKey) with one controller per scheme, the
+    // model attached at the class's highest voltage. The job's inspect
+    // hook then builds each grid point of the class on the worker —
+    // energy re-priced at the point's own rates, fault maps through
+    // the process-global memo — so the calling thread only assembles
+    // curves. Classes go out lowest-Vdd first: the 6T campaigns there
+    // are the longest, so they start first.
+    const std::vector<std::vector<std::size_t>> classes =
+        timingClasses(spec, model);
+    std::vector<std::vector<VddPointResult>> points(
+        spec.schemes.size(), std::vector<VddPointResult>(spec.grid.size()));
+    std::vector<SweepJob> jobs;
+    jobs.reserve(classes.size());
+    for (auto c = classes.rbegin(); c != classes.rend(); ++c) {
+        const std::vector<std::size_t> &members = *c;
+        SweepJob job;
+        job.makeGenerator = spec.makeGenerator;
+        job.streamKey = spec.streamKey;
+        job.vdd = spec.grid[members.front()];
+        job.configs.reserve(spec.schemes.size());
+        for (const WriteScheme s : spec.schemes) {
+            ControllerConfig cfg;
+            cfg.cache = spec.cache;
+            cfg.vmodel = spec.model;
+            if (!hier) {
+                cfg.scheme = s;
+                cfg.vdd = job.vdd;
+            } else {
+                // Hierarchy mode: the L1 is pinned while the scheme
+                // axis and the grid voltage ride on the L2.
+                cfg.scheme = spec.topScheme;
+                cfg.vdd = spec.topVdd;
+                cfg.lowerLevels = spec.lowerLevels;
+                cfg.lowerLevels.front().scheme = s;
+                cfg.lowerLevels.front().vdd = job.vdd;
+            }
+            job.configs.push_back(cfg);
+        }
+        job.inspect = [&, members](MultiSchemeRunner &runner) {
+            // Re-pricing is energy materialization; the campaigns
+            // inside carry their own fault_map scope.
+            const obs::prof::ScopedPhase energy_scope(
+                obs::prof::Phase::Energy);
+            for (std::size_t si = 0; si < spec.schemes.size(); ++si) {
+                const LevelStack &stack = runner.stack(si);
+                const SchemeRunResult run =
+                    snapshotResult(result.workload, stack);
+                for (const std::size_t gi : members) {
+                    const double vdd = spec.grid[gi];
+                    points[si][gi] = pointAt(
+                        spec, model, setups[si], vdd,
+                        repricedAt(run, stack, hier, vdd));
+                }
+            }
+        };
+        jobs.push_back(std::move(job));
+    }
+
     // Hierarchy sweeps get their own label so their perf records never
     // pair with a single-level sweep of the same workload in
     // bench_diff (both kinds of record can land in one snapshot).
@@ -365,108 +545,23 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
         "vdd_sweep:" + result.workload + (hier ? "+l2" : "");
 
     const ParallelSweeper sweeper(workers);
-    const auto runs = sweeper.run(jobs, rc, label);
-
-    // Fault maps depend on (seed, vdd, geometry, cell); schemes of the
-    // same cell flavour and interleave degree share one evaluation,
-    // and the process-global memo shares it across requests too (a
-    // warm c8td daemon re-serves known operating points for free).
-    const std::uint32_t words_per_row =
-        std::max<std::uint32_t>(1, sweptShape(spec).setBytes() / 8);
-    const auto faultsAt = [&](sram::CellType cell, std::uint32_t degree,
-                              std::size_t grid_index) {
-        sram::FaultMapConfig fmc;
-        fmc.runSeed = spec.runSeed;
-        fmc.vdd = spec.grid[grid_index];
-        fmc.cell = cell;
-        fmc.pfailCell = model.at(fmc.vdd, cell).pfailCell;
-        fmc.rows = spec.faultRows;
-        fmc.wordsPerRow = words_per_row;
-        fmc.degree = degree;
-        return globalFaultMapCache().evaluate(fmc);
-    };
+    sweeper.run(jobs, rc, label); // the inspect hooks filled `points`
 
     result.curves.reserve(spec.schemes.size());
     for (std::size_t si = 0; si < spec.schemes.size(); ++si) {
-        const WriteScheme scheme = spec.schemes[si];
-        const SchemeTraits traits = schemeTraits(scheme);
-        const sram::CellType cell = traits.requiresEightT
-                                        ? sram::CellType::EightT
-                                        : sram::CellType::SixT;
-        const sram::ArrayGeometry geom = geometryFor(spec, scheme);
-        const sram::EnergyModel em(geom, ControllerConfig{}.tech);
-        const double leak_nominal = em.leakagePower();
-        const double period = model.clockPeriod();
-
-        // Hierarchy mode adds the pinned L1's leakage at its own
-        // (fixed) operating point; the grid only scales the L2's.
-        double leak_top_fixed = 0.0;
-        if (hier) {
-            const SchemeTraits top_traits = schemeTraits(spec.topScheme);
-            const sram::CellType top_cell =
-                top_traits.requiresEightT ? sram::CellType::EightT
-                                          : sram::CellType::SixT;
-            const ControllerConfig defaults;
-            const sram::ArrayGeometry top_geom{
-                spec.cache.numSets(), spec.cache.setBytes(),
-                top_traits.requiresNonInterleaved
-                    ? 1u
-                    : defaults.interleaveDegree,
-                spec.topScheme == WriteScheme::WordGranular};
-            const sram::EnergyModel top_em(top_geom, defaults.tech);
-            const double top_scale =
-                spec.topVdd > 0.0
-                    ? model.at(spec.topVdd, top_cell).leakageScale
-                    : 1.0;
-            leak_top_fixed = top_em.leakagePower() * top_scale;
-        }
-
         VddCurve curve;
-        curve.scheme = toString(scheme);
-        curve.cell = cell;
-        curve.points.reserve(spec.grid.size());
+        curve.scheme = toString(spec.schemes[si]);
+        curve.cell = setups[si].cell;
+        curve.points = std::move(points[si]);
 
-        bool reachable = true;
-        for (std::size_t gi = 0; gi < spec.grid.size(); ++gi) {
-            VddPointResult pt;
-            pt.vdd = spec.grid[gi];
-            pt.point = model.at(pt.vdd, cell);
-            pt.faults = faultsAt(cell, geom.interleaveDegree, gi);
-            pt.operational =
-                pt.faults.postEccFailureRate() <= spec.failureThreshold;
-            pt.run = runs[gi][si];
-
-            const double requests =
-                static_cast<double>(pt.run.requests);
-            if (requests > 0.0) {
-                const double seconds =
-                    static_cast<double>(pt.run.cycles) * period;
-                // totalDynamicEnergy == dynamicEnergy bit-identically
-                // for a single level; hierarchy-wide otherwise.
-                pt.dynamicEnergyPerAccess =
-                    pt.run.totalDynamicEnergy / requests;
-                pt.leakageEnergyPerAccess = (leak_top_fixed +
-                                             leak_nominal *
-                                                 pt.point.leakageScale) *
-                                            seconds / requests;
-                pt.energyPerAccess = pt.dynamicEnergyPerAccess +
-                                     pt.leakageEnergyPerAccess;
-                pt.cyclesPerAccess =
-                    static_cast<double>(pt.run.cycles) / requests;
-                pt.edpPerAccess =
-                    pt.energyPerAccess * pt.cyclesPerAccess * period;
-            }
-
-            // min-Vdd: the lowest voltage reachable from nominal
-            // through operational points only — an operational island
-            // below a failing point is unusable, DVFS descends the
-            // curve continuously.
-            if (reachable && pt.operational)
-                curve.minVdd = pt.vdd;
-            else
-                reachable = false;
-
-            curve.points.push_back(std::move(pt));
+        // min-Vdd: the lowest voltage reachable from nominal through
+        // operational points only — an operational island below a
+        // failing point is unusable, DVFS descends the curve
+        // continuously.
+        for (const VddPointResult &pt : curve.points) {
+            if (!pt.operational)
+                break;
+            curve.minVdd = pt.vdd;
         }
         result.curves.push_back(std::move(curve));
     }
@@ -481,6 +576,7 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
     result._pending->label = label;
     result._pending->rc = rc;
     result._pending->workers = sweeper.workers();
+    result._pending->replayedConfigRuns = jobs.size() * spec.schemes.size();
     result._pending->wallSeconds = wall;
     result._pending->phasesBefore = phases_before;
     result._pending->profOn = prof_on;

@@ -3,27 +3,32 @@
  * The voltage sweep driver (DESIGN.md §10): every write scheme
  * evaluated at every supply operating point of a grid.
  *
- * For each grid voltage the driver runs one SweepJob through the
- * parallel sweep engine — one controller per scheme, all replaying the
+ * Every scheme runs at every grid voltage, replaying the
  * byte-identical workload stream (shared via the job streamKey) with
- * the voltage model attached — and combines three ingredients into a
+ * the voltage model attached, and three ingredients combine into a
  * per-scheme VddCurve:
  *
  *  * the simulated run (dynamic energy, cycles) at that voltage,
  *  * the analytic operating point (leakage scale, delay factor),
  *  * a Monte-Carlo SEC-DED fault map for the scheme's cell type
- *    (sram::buildFaultMap), whose post-ECC word failure rate decides
- *    whether the point is *operational*.
+ *    (sram::runFaultMapCampaign), whose post-ECC word failure rate
+ *    decides whether the point is *operational*.
  *
  * The curve's min-Vdd is the lowest grid voltage reachable from
  * nominal through operational points only — the paper's claim is that
  * this is strictly lower for 8T schemes than for the 6T baseline,
  * while WG/WG+RB recoup the 8T RMW energy tax along the way.
  *
- * Fault maps depend only on (run seed, Vdd, geometry, cell type), so
- * they are evaluated once per (cell, Vdd) on the calling thread and
- * shared across schemes; results are bit-identical for any sweep
- * worker count.
+ * Voltage reaches a replay only through the swept level's scaled
+ * latencies (core::scaledLatency) and its per-event energy rates,
+ * which are applied after the run. So the sweep replays each *timing
+ * class* — the grid points with equal scaled latencies — once, as one
+ * parallel SweepJob. On the worker that replayed it, the job then
+ * builds every point of its class: energy re-priced at that point's
+ * rates, fault maps through the process-global FaultMapCache (shared
+ * across schemes of one cell flavour and across requests). Every point
+ * is bit-identical to a run of its own configuration, and the result
+ * is bit-identical for any worker count.
  */
 
 #ifndef C8T_CORE_VDD_SWEEP_HH
@@ -237,11 +242,12 @@ class VddSweepResult
 };
 
 /**
- * Run the sweep: one parallel SweepJob per grid point (label
- * "vdd_sweep:<workload>" for the bench/trace plumbing, with a "+l2"
- * suffix in hierarchy mode so the records never pair with a
- * single-level sweep's in bench_diff), fault maps per
- * (cell, Vdd) on the calling thread, curves assembled per scheme.
+ * Run the sweep: one parallel SweepJob per timing class, lowest Vdd
+ * first (label "vdd_sweep:<workload>" for the bench/trace plumbing,
+ * with a "+l2" suffix in hierarchy mode so the records never pair
+ * with a single-level sweep's in bench_diff). Each job builds its
+ * class's points, fault maps included, on its worker; the calling
+ * thread assembles the curves.
  *
  * Arms one kind:"vdd" JSON record (per-scheme min-Vdd plus the
  * sweep's simulation throughput) for C8T_BENCH_JSON when set; the

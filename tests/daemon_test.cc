@@ -197,6 +197,37 @@ TEST(DaemonTest, BadSpecGetsErrorFrameAndConnectionSurvives)
     EXPECT_FALSE(final_doc.empty());
 }
 
+TEST(DaemonTest, DeeplyNestedSpecGetsErrorFrameAndDaemonKeepsServing)
+{
+    DaemonFixture fx;
+    {
+        net::DaemonClient client(fx.socket());
+        client.submit(std::string(100'000, '['));
+        client.submit(kRunSpec);
+
+        net::Frame f;
+        bool saw_error = false;
+        std::string final_doc;
+        while (client.read(f)) {
+            if (f.type == net::FrameType::Error) {
+                EXPECT_NE(f.payload.find("job spec: JSON nesting"),
+                          std::string::npos)
+                    << f.payload;
+                saw_error = true;
+            } else if (f.type == net::FrameType::Final) {
+                final_doc = f.payload;
+                break;
+            }
+        }
+        EXPECT_TRUE(saw_error);
+        EXPECT_FALSE(final_doc.empty());
+    }
+
+    // A fresh connection is served as usual.
+    net::DaemonClient again(fx.socket());
+    EXPECT_FALSE(again.call(kRunSpec).empty());
+}
+
 TEST(DaemonTest, ProgressAndPartialFramesCarryTheJobIndex)
 {
     DaemonFixture fx;

@@ -109,6 +109,38 @@ TEST(JobSpecTest, MalformedJsonRejectedWithOffset)
     expectParseError("", "byte");
 }
 
+TEST(JobSpecTest, DeepNestingRejectedWithoutCrashing)
+{
+    // Every wire request goes through this parser; 100 K nested
+    // brackets used to recurse until the stack overflowed.
+    expectParseError(std::string(100'000, '['), "job spec: JSON nesting");
+    std::string objects, mixed;
+    for (int i = 0; i < 100'000; ++i)
+        objects += "{\"a\":";
+    for (int i = 0; i < 50'000; ++i)
+        mixed += "{\"a\":[";
+    expectParseError(objects, "job spec: JSON nesting");
+    expectParseError(mixed, "job spec: JSON nesting");
+
+    // Nesting up to the limit is still plain JSON; it fails later, on
+    // the spec's own rules, not on depth.
+    const std::string at_limit =
+        "{\"kind\":\"run\",\"schemes\":" +
+        std::string(core::kMaxJsonDepth - 1, '[') +
+        std::string(core::kMaxJsonDepth - 1, ']') + "}";
+    try {
+        JobSpec::fromJsonText(at_limit);
+        FAIL() << "nested schemes list accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_EQ(std::string(e.what()).find("nesting"), std::string::npos)
+            << e.what();
+    }
+    expectParseError("{\"kind\":\"run\",\"schemes\":" +
+                         std::string(core::kMaxJsonDepth, '[') +
+                         std::string(core::kMaxJsonDepth, ']') + "}",
+                     "job spec: JSON nesting");
+}
+
 TEST(JobSpecTest, FullSpecParses)
 {
     const JobSpec spec = JobSpec::fromJsonText(

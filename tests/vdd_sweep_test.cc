@@ -19,9 +19,11 @@
 #include <vector>
 
 #include "core/controller.hh"
+#include "core/simulator.hh"
 #include "core/vdd_sweep.hh"
 #include "mem/functional_mem.hh"
 #include "obs/event_ring.hh"
+#include "obs/metrics.hh"
 #include "stats/registry.hh"
 #include "trace/markov_stream.hh"
 #include "trace/spec_profiles.hh"
@@ -225,6 +227,114 @@ TEST(VddSweep, ResultIsIdenticalForAnyWorkerCount)
     }
     EXPECT_EQ(dumps[0], dumps[1]);
     EXPECT_EQ(dumps[0], dumps[2]);
+}
+
+// ---------------------------------------------------------------------
+// Timing classes: grid points whose swept level runs at the same
+// scaled latencies share one replay, re-priced per point. Every point
+// must still be, field for field, the run of its own configuration.
+// ---------------------------------------------------------------------
+
+/** The configuration runVddSweep evaluates for @p scheme at @p vdd. */
+ControllerConfig
+pointConfig(const VddSweepSpec &spec, WriteScheme scheme, double vdd)
+{
+    ControllerConfig cfg;
+    cfg.cache = spec.cache;
+    cfg.vmodel = spec.model;
+    if (spec.lowerLevels.empty()) {
+        cfg.scheme = scheme;
+        cfg.vdd = vdd;
+    } else {
+        cfg.scheme = spec.topScheme;
+        cfg.vdd = spec.topVdd;
+        cfg.lowerLevels = spec.lowerLevels;
+        cfg.lowerLevels.front().scheme = scheme;
+        cfg.lowerLevels.front().vdd = vdd;
+    }
+    return cfg;
+}
+
+struct ClassGrid
+{
+    std::vector<double> grid;
+    std::uint64_t classes; ///< distinct scaled-latency triples
+};
+
+TEST(VddSweepClasses, EveryPointEqualsAFreshRunOfItsOwnConfig)
+{
+    const RunConfig rc{1'000, 8'000};
+    const std::vector<ClassGrid> grids = {
+        {sram::VddModel::defaultGrid(), 7},
+        {{0.99, 0.98, 0.97}, 1}, // one class, all below nominal
+        {{1.05, 1.00}, 1},       // above nominal keeps nominal timing
+    };
+    for (const bool hier : {false, true}) {
+        for (const ClassGrid &g : grids) {
+            VddSweepSpec spec = testSpec();
+            spec.grid = g.grid;
+            if (hier)
+                spec.lowerLevels.push_back(core::LevelConfig{});
+
+            // The reference: one fresh runner per (scheme, point).
+            std::vector<std::vector<core::SchemeRunResult>> expected(
+                spec.schemes.size());
+            for (std::size_t si = 0; si < spec.schemes.size(); ++si) {
+                for (const double vdd : spec.grid) {
+                    core::MultiSchemeRunner runner(
+                        {pointConfig(spec, spec.schemes[si], vdd)});
+                    const auto gen = spec.makeGenerator();
+                    expected[si].push_back(runner.run(*gen, rc).front());
+                }
+            }
+
+            for (const unsigned workers : {1u, 4u}) {
+                const VddSweepResult r =
+                    core::runVddSweep(spec, rc, workers);
+                EXPECT_EQ(obs::globalMetrics().sweep().jobsTotal,
+                          g.classes)
+                    << "hier=" << hier << " grid[0]=" << g.grid[0];
+                ASSERT_EQ(r.curves.size(), spec.schemes.size());
+                for (std::size_t si = 0; si < spec.schemes.size(); ++si) {
+                    for (std::size_t gi = 0; gi < spec.grid.size(); ++gi) {
+                        EXPECT_TRUE(r.curves[si].points[gi].run ==
+                                    expected[si][gi])
+                            << "hier=" << hier << " workers=" << workers
+                            << " scheme=" << r.curves[si].scheme
+                            << " vdd=" << spec.grid[gi];
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(VddSweepClasses, DefaultGridSubmitsOneJobPerTimingClass)
+{
+    VddSweepSpec spec = testSpec();
+    const VddSweepResult r = core::runVddSweep(spec, RunConfig{200, 2'000});
+    ASSERT_EQ(r.grid.size(), 11u);
+    // {1.00}, {0.95..0.80}, {0.75, 0.70}, then 0.65 .. 0.50 alone.
+    EXPECT_EQ(obs::globalMetrics().sweep().jobsTotal, 7u);
+    EXPECT_EQ(obs::globalMetrics().sweep().jobsDone, 7u);
+}
+
+TEST(VddSweepClasses, ScaledLatencyKeepsTheDetachedCase)
+{
+    const sram::VddModel model;
+    const core::LatencyParams base;
+    EXPECT_EQ(core::scaledLatency(base, model, 0.0), base);
+    EXPECT_EQ(core::scaledLatency(base, model, 1.0), base);
+
+    // The controller runs at exactly the helper's latencies.
+    const core::LatencyParams low = core::scaledLatency(base, model, 0.7);
+    EXPECT_GT(low.rowReadCycles, base.rowReadCycles);
+    EXPECT_EQ(low.missPenaltyCycles, base.missPenaltyCycles);
+    ControllerConfig cfg;
+    cfg.vdd = 0.7;
+    mem::FunctionalMemory memory;
+    const CacheController ctrl(cfg, memory);
+    EXPECT_EQ(ctrl.config().latency, low);
 }
 
 TEST(VddSweep, DumpJsonIsVersionedAndWellFormed)

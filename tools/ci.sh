@@ -17,7 +17,10 @@
 #      most UB surface: pow/exp/ceil scaling, bit_cast seeding,
 #      fault-map index math, codeword shifts and masks).
 #   4. Configure + build a TSan tree (-DC8T_TSAN=ON) and run the
-#      parallel sweep test under it (the data-race surface).
+#      parallel sweep test under it (the data-race surface), plus the
+#      Vdd-sweep and hierarchy tests: sweep workers re-price energy
+#      and run fault-map campaigns concurrently, contending on the
+#      FaultMapCache's in-flight slots.
 #   5. Metrics smoke: run the fig11 sweep with the phase profiler off
 #      and on (C8T_PROF=1 + C8T_METRICS) and require byte-identical
 #      stdout plus a non-empty Prometheus exposition — profiling must
@@ -98,10 +101,14 @@ for t in vmodel_test vdd_sweep_test ecc_test fault_injection_test \
     "$repo_root/build-ubsan/tests/$t"
 done
 
-echo "==== tsan: build + parallel sweep test ===="
+echo "==== tsan: build + parallel sweep, Vdd-sweep, hierarchy tests ===="
 cmake -B "$repo_root/build-tsan" -S "$repo_root" -DC8T_TSAN=ON
-cmake --build "$repo_root/build-tsan" -j "$jobs" --target sweep_test
-"$repo_root/build-tsan/tests/sweep_test"
+cmake --build "$repo_root/build-tsan" -j "$jobs" \
+    --target sweep_test vdd_sweep_test hierarchy_test
+for t in sweep_test vdd_sweep_test hierarchy_test; do
+    echo "---- tsan: $t ----"
+    "$repo_root/build-tsan/tests/$t"
+done
 
 echo "==== metrics: profiling byte-identity + exposition ===="
 # The profiler must be invisible to results: the same fig11 sweep with
