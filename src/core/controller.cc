@@ -41,14 +41,23 @@ scaledLatency(const LatencyParams &base, const sram::VddModel &model,
     return out;
 }
 
+sram::ArrayGeometry
+arrayGeometry(const mem::CacheConfig &cache, WriteScheme scheme,
+              std::uint32_t interleave_degree)
+{
+    return sram::ArrayGeometry{
+        cache.numSets(), cache.setBytes(),
+        schemeTraits(scheme).requiresNonInterleaved ? 1u
+                                                    : interleave_degree,
+        scheme == WriteScheme::WordGranular};
+}
+
 CacheController::CacheController(const ControllerConfig &config,
                                  mem::FunctionalMemory &memory)
     : _config(config), _traits(schemeTraits(config.scheme)),
       _mem(memory), _tags(config.cache),
-      _array(sram::ArrayGeometry{
-          config.cache.numSets(), config.cache.setBytes(),
-          _traits.requiresNonInterleaved ? 1u : config.interleaveDegree,
-          config.scheme == WriteScheme::WordGranular}),
+      _array(arrayGeometry(config.cache, config.scheme,
+                           config.interleaveDegree)),
       _energy(_array.geometry(), config.tech)
 {
     if (_config.bufferEntries == 0)

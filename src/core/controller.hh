@@ -147,6 +147,18 @@ struct ControllerConfig
 LatencyParams scaledLatency(const LatencyParams &base,
                             const sram::VddModel &model, double vdd);
 
+/**
+ * The data-array geometry of a cache of shape @p cache running
+ * @p scheme: one row per set, non-interleaved when the scheme needs it
+ * (else @p interleave_degree), segmented write word lines for the
+ * word-granular scheme. The CacheController constructor builds its
+ * array from it and the Vdd sweep keys fault maps and leakage on it,
+ * so the two cannot disagree.
+ */
+sram::ArrayGeometry arrayGeometry(const mem::CacheConfig &cache,
+                                  WriteScheme scheme,
+                                  std::uint32_t interleave_degree);
+
 /** Per-access result. */
 struct AccessOutcome
 {

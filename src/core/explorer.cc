@@ -6,26 +6,22 @@
 #include "core/explorer.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "core/fault_cache.hh"
 #include "core/policies.hh"
 #include "core/stream_cache.hh"
 #include "core/sweep.hh"
+#include "core/vdd_sweep.hh"
 #include "obs/metrics.hh"
 #include "obs/prof.hh"
-#include "sram/energy.hh"
-#include "sram/fault_injection.hh"
 #include "stats/json.hh"
 #include "stats/registry.hh"
 #include "trace/markov_stream.hh"
@@ -130,17 +126,85 @@ lowerFor(const ExplorerSpec &spec, const CellCoord &c,
     return l2;
 }
 
-/** The data-array geometry the controller would build (mirrors
- *  runVddSweep / the CacheController constructor). */
-sram::ArrayGeometry
-geometryFor(const mem::CacheConfig &cache, WriteScheme scheme)
+/**
+ * The voltage sweep one cell evaluates: its workload stream and cache
+ * (in hierarchy mode behind a 6T L1 pinned at nominal, over its L2)
+ * across the explore's schemes and @p grid.
+ */
+VddSweepSpec
+sweepSpecFor(const ExplorerSpec &spec, const std::vector<double> &grid,
+             const CellCoord &coord, const mem::CacheConfig &cache)
 {
-    const SchemeTraits traits = schemeTraits(scheme);
-    const ControllerConfig defaults;
-    return sram::ArrayGeometry{
-        cache.numSets(), cache.setBytes(),
-        traits.requiresNonInterleaved ? 1u : defaults.interleaveDegree,
-        scheme == WriteScheme::WordGranular};
+    const trace::StreamParams profile =
+        trace::specProfile(spec.workloads[coord.workload]);
+    VddSweepSpec vs;
+    vs.makeGenerator = [profile]() {
+        return std::make_unique<trace::MarkovStream>(profile);
+    };
+    vs.streamKey = trace::streamSignature(profile);
+    vs.cache = cache;
+    if (!spec.l2SizesKb.empty()) {
+        vs.lowerLevels = {lowerFor(spec, coord, cache)};
+        // Pinned here, not inherited from VddSweepSpec's defaults: the
+        // checkpoints and signatures assume this L1.
+        vs.topScheme = WriteScheme::SixTDirect;
+        vs.topVdd = 0.0;
+    }
+    vs.schemes = spec.schemes;
+    vs.grid = grid;
+    vs.model = spec.model;
+    vs.failureThreshold = spec.failureThreshold;
+    vs.runSeed = spec.runSeed;
+    vs.faultRows = spec.faultRows;
+    return vs;
+}
+
+/**
+ * Summarize one cell's curves into design points: min-Vdd from the
+ * curve (0, i.e. not operational, when even the highest grid point
+ * fails), the metrics at the min-Vdd point — at the highest grid point
+ * when none is operational. Nominal-only mode has no fault dimension:
+ * its single point is operational by definition.
+ */
+void
+summarizeCell(const ExplorerSpec &spec, const CellCoord &coord,
+              const mem::CacheConfig &cache,
+              const std::vector<VddCurve> &curves,
+              std::vector<DesignPointSummary> &out)
+{
+    for (const VddCurve &c : curves) {
+        DesignPointSummary p;
+        p.workload = spec.workloads[coord.workload];
+        p.sizeBytes = cache.sizeBytes;
+        p.ways = cache.ways;
+        p.blockBytes = cache.blockBytes;
+        p.l2SizeBytes = spec.l2SizesKb.empty()
+                            ? 0
+                            : lowerFor(spec, coord, cache).cache.sizeBytes;
+        p.repl = cache.replacement;
+        p.scheme = c.scheme;
+        p.cell = c.cell;
+        p.operational = c.minVdd > 0.0;
+        p.minVdd = c.minVdd;
+        if (spec.vddGrid.empty()) {
+            p.operational = true;
+            p.minVdd = c.points.front().vdd;
+        }
+
+        const VddPointResult *at = &c.points.front();
+        for (const VddPointResult &pt : c.points) {
+            if (pt.vdd == c.minVdd)
+                at = &pt;
+        }
+        p.energyPerAccess = at->energyPerAccess;
+        p.edpPerAccess = at->edpPerAccess;
+        p.cyclesPerAccess = at->cyclesPerAccess;
+        if (at->run.requests) {
+            p.missRate = static_cast<double>(at->run.misses) /
+                         static_cast<double>(at->run.requests);
+        }
+        out.push_back(std::move(p));
+    }
 }
 
 std::string
@@ -408,8 +472,7 @@ struct ExploreResult::Pending
 {
     RunConfig rc;
     unsigned workers = 0;
-    obs::prof::PhaseTimes phasesBefore;
-    bool profOn = false;
+    obs::PhaseWindow phases;
 };
 
 ExploreResult::ExploreResult() = default;
@@ -516,77 +579,35 @@ ExploreResult::emitBenchRecord()
     if (!_pending)
         return;
     const std::unique_ptr<Pending> p = std::move(_pending);
-    obs::prof::PhaseTimes run_phases;
-    if (p->profOn) {
-        // Fold in everything this thread did since the explore started
-        // — including the caller's dumpJson/table Serialize scopes —
-        // and diff against the entry snapshot.
-        obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
-        const obs::prof::PhaseTimes after =
-            obs::globalMetrics().phaseTimes();
-        for (std::size_t i = 0; i < obs::prof::kNumPhases; ++i) {
-            run_phases.ns[i] = after.ns[i] - p->phasesBefore.ns[i];
-            run_phases.scopes[i] =
-                after.scopes[i] - p->phasesBefore.scopes[i];
-        }
-    }
-
-    const char *path = std::getenv("C8T_BENCH_JSON");
-    if (path && *path) {
-        std::ofstream os(path, std::ios::app);
-        if (!os) {
-            static std::atomic<bool> warned{false};
-            if (!warned.exchange(true)) {
-                std::cerr << "explorer: cannot open C8T_BENCH_JSON=\""
-                          << path
-                          << "\" for append; perf records disabled\n";
-            }
-        } else {
-            const double simulated =
-                static_cast<double>(configRunsExecuted) *
-                static_cast<double>(p->rc.warmupAccesses +
-                                    p->rc.measureAccesses);
-            os << "{\"kind\":\"explore\",\"label\":\""
-               << stats::jsonEscape(label) << "\""
-               << ",\"workers\":" << p->workers
-               << ",\"cells\":" << cellsTotal
-               << ",\"cells_skipped\":" << cellsSkipped
-               << ",\"shards\":" << shardsTotal
-               << ",\"shards_executed\":" << shardsExecuted
-               << ",\"shards_resumed\":" << shardsResumed
-               << ",\"config_runs\":" << configRunsExecuted
-               << ",\"config_runs_total\":" << configRunsTotal
-               << ",\"warmup_accesses\":" << p->rc.warmupAccesses
-               << ",\"measure_accesses\":" << p->rc.measureAccesses
-               << ",\"simulated_accesses\":"
-               << static_cast<std::uint64_t>(simulated)
-               << ",\"wall_seconds\":" << wallSeconds
-               << ",\"accesses_per_sec\":"
-               << (wallSeconds > 0.0 ? simulated / wallSeconds : 0.0)
-               << ",\"config_runs_per_sec\":";
-            stats::jsonNumber(os, configRunsPerSec);
-            os << ",\"stream_cache_hit_rate\":";
-            stats::jsonNumber(os, streamCacheHitRate);
-            os << ",\"completed\":" << (completed ? "true" : "false");
-            if (p->profOn) {
-                os << ",\"phases\":{";
-                for (std::size_t i = 0; i < obs::prof::kNumPhases; ++i) {
-                    os << "\""
-                       << obs::prof::toString(
-                              static_cast<obs::prof::Phase>(i))
-                       << "\":";
-                    stats::jsonNumber(
-                        os, static_cast<double>(run_phases.ns[i]) * 1e-9);
-                    os << ",";
-                }
-                os << "\"total\":";
-                stats::jsonNumber(
-                    os, static_cast<double>(run_phases.totalNs()) * 1e-9);
-                os << "}";
-            }
-            os << "}\n";
-        }
-    }
+    const obs::prof::PhaseTimes phases = p->phases.close();
+    obs::appendBenchRecord("explorer", [&](std::ostream &os) {
+        const double simulated =
+            static_cast<double>(configRunsExecuted) *
+            static_cast<double>(p->rc.warmupAccesses +
+                                p->rc.measureAccesses);
+        os << "\"kind\":\"explore\",\"label\":\""
+           << stats::jsonEscape(label) << "\""
+           << ",\"workers\":" << p->workers
+           << ",\"cells\":" << cellsTotal
+           << ",\"cells_skipped\":" << cellsSkipped
+           << ",\"shards\":" << shardsTotal
+           << ",\"shards_executed\":" << shardsExecuted
+           << ",\"shards_resumed\":" << shardsResumed
+           << ",\"config_runs\":" << configRunsExecuted
+           << ",\"config_runs_total\":" << configRunsTotal
+           << ",\"warmup_accesses\":" << p->rc.warmupAccesses
+           << ",\"measure_accesses\":" << p->rc.measureAccesses
+           << ",\"simulated_accesses\":"
+           << static_cast<std::uint64_t>(simulated)
+           << ",\"wall_seconds\":" << wallSeconds
+           << ",\"accesses_per_sec\":"
+           << (wallSeconds > 0.0 ? simulated / wallSeconds : 0.0)
+           << ",\"config_runs_per_sec\":";
+        stats::jsonNumber(os, configRunsPerSec);
+        os << ",\"stream_cache_hit_rate\":";
+        stats::jsonNumber(os, streamCacheHitRate);
+        os << ",\"completed\":" << (completed ? "true" : "false");
+    }, p->phases.active() ? &phases : nullptr);
     obs::writeGlobalMetrics();
 }
 
@@ -595,22 +616,14 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
 {
     spec.validate();
     const auto t0 = std::chrono::steady_clock::now();
-    const bool prof_on = obs::prof::enabled();
-    obs::prof::PhaseTimes phases_before;
-    if (prof_on) {
-        obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
-        phases_before = obs::globalMetrics().phaseTimes();
-    }
+    const obs::PhaseWindow phases = obs::PhaseWindow::open();
 
-    const sram::VddModel model(spec.model);
-    const bool vdd_mode = !spec.vddGrid.empty();
     const bool hier_mode = !spec.l2SizesKb.empty();
-    // Nominal-only mode is a one-point "grid" at the nominal supply
-    // with the voltage model detached (cfg.vdd = 0) and no fault maps.
+    // Nominal-only mode is a one-point grid at the nominal supply,
+    // where the controller detaches the voltage model.
     const std::vector<double> grid =
-        vdd_mode ? spec.vddGrid
-                 : std::vector<double>{spec.model.nominalVdd};
-    const double period = model.clockPeriod();
+        spec.vddGrid.empty() ? std::vector<double>{spec.model.nominalVdd}
+                             : spec.vddGrid;
 
     const StreamCache::Stats cache_before = globalStreamCache().stats();
 
@@ -647,122 +660,6 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
     ParallelSweeper sweeper(workers);
     sweeper.setProgress(false); // the explorer heartbeats per shard
     sweeper.setRecordBench(false); // one umbrella record, not per shard
-
-    // Fault maps are memoized process-wide: they depend only on
-    // (seed, cell type, interleave degree, words per row, voltage),
-    // so every geometry with the same set size shares them — across
-    // this explore AND every other request in a long-running daemon.
-    const auto faultsAt = [&](sram::CellType cell, std::uint32_t degree,
-                              std::uint32_t words_per_row,
-                              std::size_t grid_index) {
-        sram::FaultMapConfig fmc;
-        fmc.runSeed = spec.runSeed;
-        fmc.vdd = grid[grid_index];
-        fmc.cell = cell;
-        fmc.pfailCell = model.at(fmc.vdd, cell).pfailCell;
-        fmc.rows = spec.faultRows;
-        fmc.wordsPerRow = words_per_row;
-        fmc.degree = degree;
-        return globalFaultMapCache().evaluate(fmc);
-    };
-
-    // Reduce one executed shard: per valid cell, per scheme, walk the
-    // grid for reachability and summarize at the min-Vdd point.
-    const auto reduceCell =
-        [&](const CellCoord &coord, const mem::CacheConfig &cache,
-            const std::vector<std::vector<SchemeRunResult>> &runs,
-            std::size_t job_base,
-            std::vector<DesignPointSummary> &out) {
-            // In hierarchy mode the swept scheme runs on the L2, so
-            // fault maps, verdicts and leakage scaling follow the L2
-            // shape; the pinned 6T L1 contributes a fixed leakage
-            // term at nominal supply.
-            const mem::CacheConfig swept_shape =
-                hier_mode ? lowerFor(spec, coord, cache).cache : cache;
-            double leak_top_fixed = 0.0;
-            if (hier_mode) {
-                const sram::EnergyModel top_em(
-                    geometryFor(cache, WriteScheme::SixTDirect),
-                    ControllerConfig{}.tech);
-                leak_top_fixed = top_em.leakagePower();
-            }
-            for (std::size_t si = 0; si < spec.schemes.size(); ++si) {
-                const WriteScheme scheme = spec.schemes[si];
-                const SchemeTraits traits = schemeTraits(scheme);
-                const sram::CellType cell =
-                    traits.requiresEightT ? sram::CellType::EightT
-                                          : sram::CellType::SixT;
-                const sram::ArrayGeometry geom =
-                    geometryFor(swept_shape, scheme);
-                const sram::EnergyModel em(geom,
-                                           ControllerConfig{}.tech);
-                const double leak_nominal = em.leakagePower();
-                const std::uint32_t words_per_row =
-                    std::max<std::uint32_t>(1,
-                                            swept_shape.setBytes() / 8);
-
-                DesignPointSummary p;
-                p.workload = spec.workloads[coord.workload];
-                p.sizeBytes = cache.sizeBytes;
-                p.ways = cache.ways;
-                p.blockBytes = cache.blockBytes;
-                p.l2SizeBytes =
-                    hier_mode ? swept_shape.sizeBytes : 0;
-                p.repl = cache.replacement;
-                p.scheme = toString(scheme);
-                p.cell = cell;
-
-                // min-Vdd: the lowest grid voltage reachable from
-                // nominal through operational points only (exactly
-                // runVddSweep's reachability rule). Nominal-only mode
-                // has no fault dimension: the single point is
-                // operational by definition.
-                std::size_t summary_gi = 0;
-                bool reachable = true;
-                for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-                    const bool operational =
-                        !vdd_mode ||
-                        faultsAt(cell, geom.interleaveDegree,
-                                 words_per_row, gi)
-                                .postEccFailureRate() <=
-                            spec.failureThreshold;
-                    if (reachable && operational) {
-                        p.operational = true;
-                        p.minVdd = grid[gi];
-                        summary_gi = gi;
-                    } else {
-                        reachable = false;
-                    }
-                }
-
-                const SchemeRunResult &run =
-                    runs[job_base + summary_gi][si];
-                const double requests =
-                    static_cast<double>(run.requests);
-                if (requests > 0.0) {
-                    const sram::VddPoint point =
-                        model.at(grid[summary_gi], cell);
-                    const double seconds =
-                        static_cast<double>(run.cycles) * period;
-                    // totalDynamicEnergy == dynamicEnergy
-                    // bit-identically for a single level.
-                    const double dyn =
-                        run.totalDynamicEnergy / requests;
-                    const double leak = (leak_top_fixed +
-                                         leak_nominal *
-                                             point.leakageScale) *
-                                        seconds / requests;
-                    p.energyPerAccess = dyn + leak;
-                    p.cyclesPerAccess =
-                        static_cast<double>(run.cycles) / requests;
-                    p.edpPerAccess =
-                        p.energyPerAccess * p.cyclesPerAccess * period;
-                    p.missRate =
-                        static_cast<double>(run.misses) / requests;
-                }
-                out.push_back(std::move(p));
-            }
-        };
 
     const bool progress_on =
         spec.progress || ParallelSweeper::defaultProgress();
@@ -833,13 +730,15 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
                    result.shardsExecuted < spec.maxShards) {
             const auto shard_t0 = std::chrono::steady_clock::now();
 
-            // Expand the shard's cells into jobs: one job per grid
-            // point, one controller per scheme. Invalid geometries
-            // (e.g. a set smaller than one block) are skipped — the
-            // verdict depends only on the spec, so it is identical on
-            // every run/resume.
+            // Each valid cell is a Vdd sweep over the grid: its
+            // timing-class jobs join the shard's one sweeper run, and
+            // its curves reduce to one design point per scheme.
+            // Invalid geometries (e.g. a set smaller than one block)
+            // are skipped — the verdict depends only on the spec, so
+            // it is identical on every run/resume.
             std::vector<SweepJob> jobs;
             std::vector<std::pair<CellCoord, mem::CacheConfig>> valid;
+            std::vector<std::unique_ptr<VddSweepBatch>> batches;
             std::uint64_t skipped = 0;
             for (std::uint64_t ci = first; ci < first + count; ++ci) {
                 const CellCoord coord = decodeCell(spec, ci);
@@ -861,56 +760,22 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
                     ++skipped;
                     continue;
                 }
-                const trace::StreamParams profile =
-                    trace::specProfile(spec.workloads[coord.workload]);
-                const std::string key = trace::streamSignature(profile);
-                for (std::size_t gi = 0; gi < grid.size(); ++gi) {
-                    SweepJob job;
-                    job.makeGenerator = [profile]() {
-                        return std::make_unique<trace::MarkovStream>(
-                            profile);
-                    };
-                    job.streamKey = key;
-                    job.vdd = vdd_mode ? grid[gi] : 0.0;
-                    job.configs.reserve(spec.schemes.size());
-                    for (const WriteScheme s : spec.schemes) {
-                        ControllerConfig cfg;
-                        cfg.cache = cache;
-                        if (hier_mode) {
-                            // 6T L1 at nominal; scheme and grid Vdd
-                            // ride on the L2 (DESIGN.md §14).
-                            cfg.scheme = WriteScheme::SixTDirect;
-                            cfg.lowerLevels = {
-                                lowerFor(spec, coord, cache)};
-                            cfg.lowerLevels.front().scheme = s;
-                            if (vdd_mode) {
-                                cfg.lowerLevels.front().vdd = grid[gi];
-                                cfg.vmodel = spec.model;
-                            }
-                        } else {
-                            cfg.scheme = s;
-                            if (vdd_mode) {
-                                cfg.vdd = grid[gi];
-                                cfg.vmodel = spec.model;
-                            }
-                        }
-                        job.configs.push_back(cfg);
-                    }
-                    jobs.push_back(std::move(job));
-                }
+                batches.push_back(std::make_unique<VddSweepBatch>(
+                    sweepSpecFor(spec, grid, coord, cache),
+                    spec.workloads[coord.workload]));
+                batches.back()->appendJobs(jobs);
                 valid.emplace_back(coord, cache);
             }
 
             std::vector<DesignPointSummary> shard_points;
             if (!jobs.empty()) {
-                const auto runs = sweeper.run(
-                    jobs, rc,
-                    spec.label + ":shard" + std::to_string(shard));
+                sweeper.run(jobs, rc,
+                            spec.label + ":shard" + std::to_string(shard));
                 shard_points.reserve(valid.size() *
                                      spec.schemes.size());
                 for (std::size_t vi = 0; vi < valid.size(); ++vi) {
-                    reduceCell(valid[vi].first, valid[vi].second, runs,
-                               vi * grid.size(), shard_points);
+                    summarizeCell(spec, valid[vi].first, valid[vi].second,
+                                  batches[vi]->takeCurves(), shard_points);
                 }
             }
 
@@ -1034,8 +899,7 @@ runExplore(const ExplorerSpec &spec, const RunConfig &rc, unsigned workers)
     result._pending = std::make_unique<ExploreResult::Pending>();
     result._pending->rc = rc;
     result._pending->workers = sweeper.workers();
-    result._pending->phasesBefore = phases_before;
-    result._pending->profOn = prof_on;
+    result._pending->phases = phases;
     return result;
 }
 

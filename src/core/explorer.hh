@@ -6,19 +6,23 @@
  *
  * The ROADMAP north-star is a production-scale engine: 10^4..10^7
  * config-runs, where a config-run is one (workload, geometry, scheme,
- * Vdd) simulation. Three mechanisms make that tractable:
+ * Vdd) simulation. Each cell is evaluated as a Vdd sweep by the same
+ * timing-class batch runVddSweep runs (core::VddSweepBatch): one
+ * replay per timing class of the grid, every point's energy and
+ * fault-map campaigns built on the sweep workers, the process-global
+ * FaultMapCache sharing campaigns across cells and requests. The
+ * explorer only summarizes each cell's curves. Three mechanisms make
+ * the scale tractable:
  *
  *  * **Dedup.** The cross-product is expanded workload-major, so every
  *    geometry/scheme/Vdd combination of a workload is adjacent and the
  *    access stream is generated once per workload via the StreamCache
- *    signature (hit rate reported in the result). Monte-Carlo fault
- *    maps are memoized explorer-wide on (cell, interleave degree,
- *    words-per-row, grid index) exactly as in runVddSweep.
+ *    signature (hit rate reported in the result).
  *
  *  * **Sharding.** Cells (one cell = one workload × geometry ×
  *    replacement, i.e. runsPerCell() = schemes × grid config-runs) are
- *    grouped into fixed-size shards; each shard runs as one
- *    ParallelSweeper batch and is reduced immediately to per-design
+ *    grouped into fixed-size shards; each shard's sweep jobs run as
+ *    one ParallelSweeper run and are reduced immediately to per-design
  *    summaries — raw per-point rows are never materialized across
  *    shards, so memory stays flat regardless of grid size.
  *
@@ -98,8 +102,9 @@ struct ExplorerSpec
 
     /**
      * Supply grid, strictly descending (same contract as VddSweepSpec).
-     * Empty = nominal-only: one config-run per scheme with the voltage
-     * model detached, min-Vdd reported as the nominal supply.
+     * Empty = nominal-only: one config-run per scheme at the nominal
+     * supply (the voltage model detached), operational by definition,
+     * min-Vdd reported as the nominal supply.
      */
     std::vector<double> vddGrid;
 

@@ -6,8 +6,9 @@
 #include "core/job_spec.hh"
 
 #include <cctype>
-#include <cmath>
+#include <charconv>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -297,14 +298,34 @@ rejectUnknownKeys(const JsonValue &v, const char *where,
     }
 }
 
+/** The number token of @p v as an exact u64: parsed from the raw text,
+ *  never through the double, which rounds above 2^53 and cannot hold
+ *  2^64 - 1. */
 std::uint64_t
 asU64(const JsonValue &v, const char *key)
 {
-    if (!v.isNumber() || v.number < 0.0 ||
-        v.number != std::floor(v.number) ||
-        v.raw.find_first_of(".eE") != std::string::npos)
+    std::uint64_t out = 0;
+    const char *first = v.raw.data();
+    const char *last = first + v.raw.size();
+    const auto [end, ec] = std::from_chars(first, last, out);
+    if (!v.isNumber() || ec == std::errc::invalid_argument || end != last)
         specFail(std::string(key) + ": expected a non-negative integer");
-    return static_cast<std::uint64_t>(v.number);
+    if (ec == std::errc::result_out_of_range)
+        specFail(std::string(key) + ": " + v.raw +
+                 " is out of range (max 18446744073709551615)");
+    return out;
+}
+
+/** asU64 for a 32-bit field: out-of-range values are rejected, never
+ *  truncated. */
+std::uint32_t
+asU32(const JsonValue &v, const char *key)
+{
+    const std::uint64_t n = asU64(v, key);
+    if (n > std::numeric_limits<std::uint32_t>::max())
+        specFail(std::string(key) + ": " + v.raw +
+                 " is out of range (max 4294967295)");
+    return static_cast<std::uint32_t>(n);
 }
 
 double
@@ -439,7 +460,7 @@ JobSpec::fromJson(const JsonValue &v)
     rejectUnknownKeys(v, "spec",
                       {"kind", "workload", "accesses", "warmup", "cache",
                        "schemes", "buffer_entries", "silent_detection",
-                       "l2_kb", "levels", "vdd", "explore"});
+                       "levels", "vdd", "explore"});
 
     JobSpec spec;
     const JsonValue *kind = v.find("kind");
@@ -462,12 +483,10 @@ JobSpec::fromJson(const JsonValue &v)
         if (const JsonValue *s = c->find("size_kb"))
             spec.cache.sizeBytes = asU64(*s, "cache.size_kb") * 1024;
         if (const JsonValue *w = c->find("ways")) {
-            spec.cache.ways =
-                static_cast<std::uint32_t>(asU64(*w, "cache.ways"));
+            spec.cache.ways = asU32(*w, "cache.ways");
         }
         if (const JsonValue *b = c->find("block")) {
-            spec.cache.blockBytes =
-                static_cast<std::uint32_t>(asU64(*b, "cache.block"));
+            spec.cache.blockBytes = asU32(*b, "cache.block");
         }
         if (const JsonValue *r = c->find("repl")) {
             spec.cache.replacement =
@@ -482,8 +501,7 @@ JobSpec::fromJson(const JsonValue &v)
             });
     }
     if (const JsonValue *b = v.find("buffer_entries")) {
-        spec.bufferEntries =
-            static_cast<std::uint32_t>(asU64(*b, "buffer_entries"));
+        spec.bufferEntries = asU32(*b, "buffer_entries");
     }
     if (const JsonValue *s = v.find("silent_detection"))
         spec.silentDetection = asBool(*s, "silent_detection");
@@ -501,14 +519,10 @@ JobSpec::fromJson(const JsonValue &v)
             LevelSpec l;
             if (const JsonValue *s = e.find("size_kb"))
                 l.sizeKb = asU64(*s, "levels[].size_kb");
-            if (const JsonValue *w = e.find("ways")) {
-                l.ways = static_cast<std::uint32_t>(
-                    asU64(*w, "levels[].ways"));
-            }
-            if (const JsonValue *b = e.find("block")) {
-                l.blockBytes = static_cast<std::uint32_t>(
-                    asU64(*b, "levels[].block"));
-            }
+            if (const JsonValue *w = e.find("ways"))
+                l.ways = asU32(*w, "levels[].ways");
+            if (const JsonValue *b = e.find("block"))
+                l.blockBytes = asU32(*b, "levels[].block");
             if (const JsonValue *r = e.find("repl")) {
                 l.repl =
                     mem::parseReplKind(asString(*r, "levels[].repl"));
@@ -523,18 +537,6 @@ JobSpec::fromJson(const JsonValue &v)
                     specFail("levels[].vdd: must be > 0");
             }
             spec.levels.push_back(l);
-        }
-    }
-    if (const JsonValue *l = v.find("l2_kb")) {
-        // Deprecated alias for the retired tags-only shim: a bare
-        // capacity becomes a default-shaped L2 level.
-        if (!spec.levels.empty())
-            specFail("l2_kb is a deprecated alias for levels; give "
-                     "one or the other");
-        if (const std::uint64_t kb = asU64(*l, "l2_kb")) {
-            LevelSpec l2;
-            l2.sizeKb = kb;
-            spec.levels.push_back(l2);
         }
     }
     if (const JsonValue *d = v.find("vdd")) {
@@ -566,15 +568,13 @@ JobSpec::fromJson(const JsonValue &v)
         if (const JsonValue *w = e->find("ways")) {
             spec.exploreWays = asList<std::uint32_t>(
                 *w, "explore.ways", [](const JsonValue &i) {
-                    return static_cast<std::uint32_t>(
-                        asU64(i, "explore.ways[]"));
+                    return asU32(i, "explore.ways[]");
                 });
         }
         if (const JsonValue *b = e->find("blocks")) {
             spec.exploreBlocks = asList<std::uint32_t>(
                 *b, "explore.blocks", [](const JsonValue &i) {
-                    return static_cast<std::uint32_t>(
-                        asU64(i, "explore.blocks[]"));
+                    return asU32(i, "explore.blocks[]");
                 });
         }
         if (const JsonValue *r = e->find("repl")) {

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -186,10 +185,10 @@ class Heartbeat
 };
 
 /**
- * Append one JSON-lines perf record when C8T_BENCH_JSON is set.
- * @p phases, when non-null, adds a "phases" block (per-phase self
- * time in seconds, plus their total) so tools/bench_diff.sh can
- * attribute a throughput change to the phase that moved.
+ * Append the kind:"sweep" perf record when C8T_BENCH_JSON is set.
+ * @p phases, when non-null, adds the "phases" block so
+ * tools/bench_diff.sh can attribute a throughput change to the phase
+ * that moved.
  */
 void
 emitBenchJson(const std::string &label,
@@ -197,55 +196,26 @@ emitBenchJson(const std::string &label,
               const RunConfig &rc, unsigned workers, double wall_seconds,
               const obs::prof::PhaseTimes *phases)
 {
-    const char *path = std::getenv("C8T_BENCH_JSON");
-    if (!path || !*path)
-        return;
-
-    std::uint64_t config_runs = 0;
-    for (const auto &job : results)
-        config_runs += job.size();
-    const double simulated =
-        static_cast<double>(config_runs) *
-        static_cast<double>(rc.warmupAccesses + rc.measureAccesses);
-
-    std::ofstream os(path, std::ios::app);
-    if (!os) {
-        // Mirror the bench C8T_BENCH_ACCESSES notice style: warn once
-        // instead of dropping every perf record silently.
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true)) {
-            std::cerr << "sweep: cannot open C8T_BENCH_JSON=\"" << path
-                      << "\" for append; perf records disabled\n";
-        }
-        return;
-    }
-    os << "{\"kind\":\"sweep\",\"label\":\"" << stats::jsonEscape(label)
-       << "\""
-       << ",\"jobs\":" << results.size()
-       << ",\"workers\":" << workers
-       << ",\"config_runs\":" << config_runs
-       << ",\"warmup_accesses\":" << rc.warmupAccesses
-       << ",\"measure_accesses\":" << rc.measureAccesses
-       << ",\"simulated_accesses\":" << static_cast<std::uint64_t>(simulated)
-       << ",\"wall_seconds\":" << wall_seconds
-       << ",\"accesses_per_sec\":"
-       << (wall_seconds > 0.0 ? simulated / wall_seconds : 0.0);
-    if (phases) {
-        os << ",\"phases\":{";
-        for (std::size_t i = 0; i < obs::prof::kNumPhases; ++i) {
-            os << "\""
-               << obs::prof::toString(static_cast<obs::prof::Phase>(i))
-               << "\":";
-            stats::jsonNumber(os, static_cast<double>(phases->ns[i]) *
-                                      1e-9);
-            os << ",";
-        }
-        os << "\"total\":";
-        stats::jsonNumber(os,
-                          static_cast<double>(phases->totalNs()) * 1e-9);
-        os << "}";
-    }
-    os << "}\n";
+    obs::appendBenchRecord("sweep", [&](std::ostream &os) {
+        std::uint64_t config_runs = 0;
+        for (const auto &job : results)
+            config_runs += job.size();
+        const double simulated =
+            static_cast<double>(config_runs) *
+            static_cast<double>(rc.warmupAccesses + rc.measureAccesses);
+        os << "\"kind\":\"sweep\",\"label\":\""
+           << stats::jsonEscape(label) << "\""
+           << ",\"jobs\":" << results.size()
+           << ",\"workers\":" << workers
+           << ",\"config_runs\":" << config_runs
+           << ",\"warmup_accesses\":" << rc.warmupAccesses
+           << ",\"measure_accesses\":" << rc.measureAccesses
+           << ",\"simulated_accesses\":"
+           << static_cast<std::uint64_t>(simulated)
+           << ",\"wall_seconds\":" << wall_seconds
+           << ",\"accesses_per_sec\":"
+           << (wall_seconds > 0.0 ? simulated / wall_seconds : 0.0);
+    }, phases);
 }
 
 /**

@@ -6,11 +6,7 @@
 #include "core/vdd_sweep.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <stdexcept>
 #include <utility>
 
@@ -64,73 +60,11 @@ sweptShape(const VddSweepSpec &spec)
                                     : spec.lowerLevels.front().cache;
 }
 
-/** The data-array geometry the controller would build for @p scheme
- *  (mirrors the CacheController constructor) on the swept shape. */
-sram::ArrayGeometry
-geometryFor(const VddSweepSpec &spec, WriteScheme scheme)
+sram::CellType
+cellOf(WriteScheme scheme)
 {
-    const SchemeTraits traits = schemeTraits(scheme);
-    const std::uint32_t degree =
-        spec.lowerLevels.empty()
-            ? ControllerConfig{}.interleaveDegree
-            : spec.lowerLevels.front().interleaveDegree;
-    const mem::CacheConfig &shape = sweptShape(spec);
-    return sram::ArrayGeometry{
-        shape.numSets(), shape.setBytes(),
-        traits.requiresNonInterleaved ? 1u : degree,
-        scheme == WriteScheme::WordGranular};
-}
-
-/** What every point of one scheme's curve shares. */
-struct CurveSetup
-{
-    /** Cell the scheme runs on. */
-    sram::CellType cell = sram::CellType::EightT;
-
-    /** Interleave degree of the swept array (the fault-map key). */
-    std::uint32_t degree = 1;
-
-    /** Swept array leakage power at nominal Vdd (W). */
-    double leakNominal = 0.0;
-
-    /** Leakage power outside the grid's reach (W): the pinned L1 at
-     *  its own operating point in hierarchy mode, else 0. */
-    double leakFixed = 0.0;
-};
-
-CurveSetup
-curveSetup(const VddSweepSpec &spec, const sram::VddModel &model,
-           WriteScheme scheme)
-{
-    CurveSetup cs;
-    cs.cell = schemeTraits(scheme).requiresEightT ? sram::CellType::EightT
-                                                  : sram::CellType::SixT;
-    const sram::ArrayGeometry geom = geometryFor(spec, scheme);
-    cs.degree = geom.interleaveDegree;
-    cs.leakNominal =
-        sram::EnergyModel(geom, ControllerConfig{}.tech).leakagePower();
-
-    // Hierarchy mode adds the pinned L1's leakage at its own (fixed)
-    // operating point; the grid only scales the L2's.
-    if (!spec.lowerLevels.empty()) {
-        const SchemeTraits top_traits = schemeTraits(spec.topScheme);
-        const sram::CellType top_cell = top_traits.requiresEightT
-                                            ? sram::CellType::EightT
-                                            : sram::CellType::SixT;
-        const ControllerConfig defaults;
-        const sram::ArrayGeometry top_geom{
-            spec.cache.numSets(), spec.cache.setBytes(),
-            top_traits.requiresNonInterleaved ? 1u
-                                              : defaults.interleaveDegree,
-            spec.topScheme == WriteScheme::WordGranular};
-        const sram::EnergyModel top_em(top_geom, defaults.tech);
-        const double top_scale =
-            spec.topVdd > 0.0
-                ? model.at(spec.topVdd, top_cell).leakageScale
-                : 1.0;
-        cs.leakFixed = top_em.leakagePower() * top_scale;
-    }
-    return cs;
+    return schemeTraits(scheme).requiresEightT ? sram::CellType::EightT
+                                               : sram::CellType::SixT;
 }
 
 /**
@@ -183,35 +117,97 @@ repricedAt(SchemeRunResult run, const LevelStack &stack, bool hier,
     return run;
 }
 
+} // anonymous namespace
+
+struct VddSweepBatch::CurveSetup
+{
+    /** Cell the scheme runs on. */
+    sram::CellType cell = sram::CellType::EightT;
+
+    /** Interleave degree of the swept array (the fault-map key). */
+    std::uint32_t degree = 1;
+
+    /** Swept array leakage power at nominal Vdd (W). */
+    double leakNominal = 0.0;
+
+    /** Leakage power outside the grid's reach (W): the pinned L1 at
+     *  its own operating point in hierarchy mode, else 0. */
+    double leakFixed = 0.0;
+};
+
+VddSweepBatch::VddSweepBatch(VddSweepSpec spec, std::string workload)
+    : _spec(std::move(spec)), _workload(std::move(workload)),
+      _model(_spec.model),
+      _points(_spec.schemes.size(),
+              std::vector<VddPointResult>(_spec.grid.size()))
+{
+    const bool hier = !_spec.lowerLevels.empty();
+    const std::uint32_t degree =
+        hier ? _spec.lowerLevels.front().interleaveDegree
+             : ControllerConfig{}.interleaveDegree;
+    const sram::TechParams tech = ControllerConfig{}.tech;
+
+    // Hierarchy mode adds the pinned L1's leakage at its own (fixed)
+    // operating point; the grid only scales the L2's.
+    double leak_fixed = 0.0;
+    if (hier) {
+        const sram::EnergyModel top_em(
+            arrayGeometry(_spec.cache, _spec.topScheme,
+                          ControllerConfig{}.interleaveDegree),
+            tech);
+        const double top_scale =
+            _spec.topVdd > 0.0
+                ? _model.at(_spec.topVdd, cellOf(_spec.topScheme))
+                      .leakageScale
+                : 1.0;
+        leak_fixed = top_em.leakagePower() * top_scale;
+    }
+
+    _setups.reserve(_spec.schemes.size());
+    for (const WriteScheme s : _spec.schemes) {
+        const sram::ArrayGeometry geom =
+            arrayGeometry(sweptShape(_spec), s, degree);
+        CurveSetup cs;
+        cs.cell = cellOf(s);
+        cs.degree = geom.interleaveDegree;
+        cs.leakNominal = sram::EnergyModel(geom, tech).leakagePower();
+        cs.leakFixed = leak_fixed;
+        _setups.push_back(cs);
+    }
+}
+
+VddSweepBatch::~VddSweepBatch() = default;
+
 /** One grid point of one curve: the operating point, its fault map
  *  (fault maps depend on (seed, vdd, geometry, cell) only, so schemes
  *  of one cell flavour and degree share an evaluation, and the
  *  process-global memo shares it across requests too) and the
  *  per-access energy and delay of @p run. */
 VddPointResult
-pointAt(const VddSweepSpec &spec, const sram::VddModel &model,
-        const CurveSetup &cs, double vdd, SchemeRunResult run)
+VddSweepBatch::pointAt(const CurveSetup &cs, double vdd,
+                       SchemeRunResult run) const
 {
     VddPointResult pt;
     pt.vdd = vdd;
-    pt.point = model.at(vdd, cs.cell);
+    pt.point = _model.at(vdd, cs.cell);
 
     sram::FaultMapConfig fmc;
-    fmc.runSeed = spec.runSeed;
+    fmc.runSeed = _spec.runSeed;
     fmc.vdd = vdd;
     fmc.cell = cs.cell;
     fmc.pfailCell = pt.point.pfailCell;
-    fmc.rows = spec.faultRows;
+    fmc.rows = _spec.faultRows;
     fmc.wordsPerRow =
-        std::max<std::uint32_t>(1, sweptShape(spec).setBytes() / 8);
+        std::max<std::uint32_t>(1, sweptShape(_spec).setBytes() / 8);
     fmc.degree = cs.degree;
     pt.faults = globalFaultMapCache().evaluate(fmc);
-    pt.operational = pt.faults.postEccFailureRate() <= spec.failureThreshold;
+    pt.operational =
+        pt.faults.postEccFailureRate() <= _spec.failureThreshold;
     pt.run = std::move(run);
 
     const double requests = static_cast<double>(pt.run.requests);
     if (requests > 0.0) {
-        const double period = model.clockPeriod();
+        const double period = _model.clockPeriod();
         const double seconds = static_cast<double>(pt.run.cycles) * period;
         // totalDynamicEnergy == dynamicEnergy bit-identically for a
         // single level; hierarchy-wide otherwise.
@@ -227,74 +223,93 @@ pointAt(const VddSweepSpec &spec, const sram::VddModel &model,
     return pt;
 }
 
-/** Append the kind:"vdd" perf record when C8T_BENCH_JSON is set. */
 void
-emitVddBenchJson(const std::string &label, const VddSweepResult &result,
-                 const RunConfig &rc, unsigned workers,
-                 std::uint64_t replayed_config_runs, double wall_seconds,
-                 const obs::prof::PhaseTimes *phases)
+VddSweepBatch::appendJobs(std::vector<SweepJob> &jobs)
 {
-    const char *path = std::getenv("C8T_BENCH_JSON");
-    if (!path || !*path)
-        return;
+    const bool hier = !_spec.lowerLevels.empty();
+    const std::vector<std::vector<std::size_t>> classes =
+        timingClasses(_spec, _model);
 
-    std::uint64_t config_runs = 0;
-    for (const VddCurve &c : result.curves)
-        config_runs += c.points.size();
-    const double simulated =
-        static_cast<double>(config_runs) *
-        static_cast<double>(rc.warmupAccesses + rc.measureAccesses);
-
-    std::ofstream os(path, std::ios::app);
-    if (!os) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true)) {
-            std::cerr << "vdd_sweep: cannot open C8T_BENCH_JSON=\"" << path
-                      << "\" for append; perf records disabled\n";
+    // One job per timing class: every job replays the identical stream
+    // (shared through streamKey) with one controller per scheme, the
+    // model attached at the class's highest voltage. Classes go out
+    // lowest-Vdd first: the 6T campaigns there are the longest, so
+    // they start first.
+    for (auto c = classes.rbegin(); c != classes.rend(); ++c) {
+        const std::vector<std::size_t> &members = *c;
+        SweepJob job;
+        job.makeGenerator = _spec.makeGenerator;
+        job.streamKey = _spec.streamKey;
+        job.vdd = _spec.grid[members.front()];
+        job.configs.reserve(_spec.schemes.size());
+        for (const WriteScheme s : _spec.schemes) {
+            ControllerConfig cfg;
+            cfg.cache = _spec.cache;
+            cfg.vmodel = _spec.model;
+            if (!hier) {
+                cfg.scheme = s;
+                cfg.vdd = job.vdd;
+            } else {
+                // Hierarchy mode: the L1 is pinned while the scheme
+                // axis and the grid voltage ride on the L2.
+                cfg.scheme = _spec.topScheme;
+                cfg.vdd = _spec.topVdd;
+                cfg.lowerLevels = _spec.lowerLevels;
+                cfg.lowerLevels.front().scheme = s;
+                cfg.lowerLevels.front().vdd = job.vdd;
+            }
+            job.configs.push_back(cfg);
         }
-        return;
+        // Build each grid point of the class on the worker: energy
+        // re-priced at the point's own rates, fault maps through the
+        // process-global memo. Each hook writes only its own class's
+        // slots of _points.
+        job.inspect = [this, hier, members](MultiSchemeRunner &runner) {
+            // Re-pricing is energy materialization; the campaigns
+            // inside carry their own fault_map scope.
+            const obs::prof::ScopedPhase energy_scope(
+                obs::prof::Phase::Energy);
+            for (std::size_t si = 0; si < _spec.schemes.size(); ++si) {
+                const LevelStack &stack = runner.stack(si);
+                const SchemeRunResult run =
+                    snapshotResult(_workload, stack);
+                for (const std::size_t gi : members) {
+                    const double vdd = _spec.grid[gi];
+                    _points[si][gi] =
+                        pointAt(_setups[si], vdd,
+                                repricedAt(run, stack, hier, vdd));
+                }
+            }
+        };
+        jobs.push_back(std::move(job));
     }
-    os << "{\"kind\":\"vdd\",\"label\":\"" << stats::jsonEscape(label)
-       << "\""
-       << ",\"grid_points\":" << result.grid.size()
-       << ",\"schemes\":" << result.curves.size()
-       << ",\"workers\":" << workers
-       << ",\"config_runs\":" << config_runs
-       << ",\"replayed_config_runs\":" << replayed_config_runs
-       << ",\"warmup_accesses\":" << rc.warmupAccesses
-       << ",\"measure_accesses\":" << rc.measureAccesses
-       << ",\"simulated_accesses\":" << static_cast<std::uint64_t>(simulated)
-       << ",\"wall_seconds\":" << wall_seconds
-       << ",\"accesses_per_sec\":"
-       << (wall_seconds > 0.0 ? simulated / wall_seconds : 0.0)
-       << ",\"min_vdd\":{";
-    bool first = true;
-    for (const VddCurve &c : result.curves) {
-        os << (first ? "" : ",") << '"' << stats::jsonEscape(c.scheme)
-           << "\":";
-        stats::jsonNumber(os, c.minVdd);
-        first = false;
-    }
-    os << "}";
-    if (phases) {
-        os << ",\"phases\":{";
-        for (std::size_t i = 0; i < obs::prof::kNumPhases; ++i) {
-            os << "\""
-               << obs::prof::toString(static_cast<obs::prof::Phase>(i))
-               << "\":";
-            stats::jsonNumber(os, static_cast<double>(phases->ns[i]) *
-                                      1e-9);
-            os << ",";
-        }
-        os << "\"total\":";
-        stats::jsonNumber(os,
-                          static_cast<double>(phases->totalNs()) * 1e-9);
-        os << "}";
-    }
-    os << "}\n";
 }
 
-} // anonymous namespace
+std::vector<VddCurve>
+VddSweepBatch::takeCurves()
+{
+    std::vector<VddCurve> curves;
+    curves.reserve(_spec.schemes.size());
+    for (std::size_t si = 0; si < _points.size(); ++si) {
+        VddCurve curve;
+        curve.scheme = toString(_spec.schemes[si]);
+        curve.cell = _setups[si].cell;
+        curve.points = std::move(_points[si]);
+
+        // min-Vdd: the lowest voltage reachable from nominal through
+        // operational points only — an operational island below a
+        // failing point is unusable, DVFS descends the curve
+        // continuously.
+        for (const VddPointResult &pt : curve.points) {
+            if (!pt.operational)
+                break;
+            curve.minVdd = pt.vdd;
+        }
+        curves.push_back(std::move(curve));
+    }
+    _points.clear();
+    return curves;
+}
 
 /** Deferred bench-record state, armed by runVddSweep and consumed by
  *  emitBenchRecord(). Lives behind a unique_ptr so the header does not
@@ -306,8 +321,7 @@ struct VddSweepResult::Pending
     unsigned workers = 0;
     std::uint64_t replayedConfigRuns = 0;
     double wallSeconds = 0.0;
-    obs::prof::PhaseTimes phasesBefore;
-    bool profOn = false;
+    obs::PhaseWindow phases;
 };
 
 VddSweepResult::VddSweepResult() = default;
@@ -326,23 +340,39 @@ VddSweepResult::emitBenchRecord()
     if (!_pending)
         return;
     const std::unique_ptr<Pending> p = std::move(_pending);
-    obs::prof::PhaseTimes run_phases;
-    if (p->profOn) {
-        // Fold in everything this thread did since the sweep started —
-        // including the caller's dumpJson/table Serialize scopes —
-        // and diff against the entry snapshot.
-        obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
-        const obs::prof::PhaseTimes after =
-            obs::globalMetrics().phaseTimes();
-        for (std::size_t i = 0; i < obs::prof::kNumPhases; ++i) {
-            run_phases.ns[i] = after.ns[i] - p->phasesBefore.ns[i];
-            run_phases.scopes[i] =
-                after.scopes[i] - p->phasesBefore.scopes[i];
+    const obs::prof::PhaseTimes phases = p->phases.close();
+    obs::appendBenchRecord("vdd_sweep", [&](std::ostream &os) {
+        std::uint64_t config_runs = 0;
+        for (const VddCurve &c : curves)
+            config_runs += c.points.size();
+        const double simulated =
+            static_cast<double>(config_runs) *
+            static_cast<double>(p->rc.warmupAccesses +
+                                p->rc.measureAccesses);
+        os << "\"kind\":\"vdd\",\"label\":\""
+           << stats::jsonEscape(p->label) << "\""
+           << ",\"grid_points\":" << grid.size()
+           << ",\"schemes\":" << curves.size()
+           << ",\"workers\":" << p->workers
+           << ",\"config_runs\":" << config_runs
+           << ",\"replayed_config_runs\":" << p->replayedConfigRuns
+           << ",\"warmup_accesses\":" << p->rc.warmupAccesses
+           << ",\"measure_accesses\":" << p->rc.measureAccesses
+           << ",\"simulated_accesses\":"
+           << static_cast<std::uint64_t>(simulated)
+           << ",\"wall_seconds\":" << p->wallSeconds
+           << ",\"accesses_per_sec\":"
+           << (p->wallSeconds > 0.0 ? simulated / p->wallSeconds : 0.0)
+           << ",\"min_vdd\":{";
+        bool first = true;
+        for (const VddCurve &c : curves) {
+            os << (first ? "" : ",") << '"' << stats::jsonEscape(c.scheme)
+               << "\":";
+            stats::jsonNumber(os, c.minVdd);
+            first = false;
         }
-    }
-    emitVddBenchJson(p->label, *this, p->rc, p->workers,
-                     p->replayedConfigRuns, p->wallSeconds,
-                     p->profOn ? &run_phases : nullptr);
+        os << "}";
+    }, p->phases.active() ? &phases : nullptr);
     obs::writeGlobalMetrics();
 }
 
@@ -456,16 +486,9 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
 {
     validate(spec);
     const auto t0 = std::chrono::steady_clock::now();
-    const bool prof_on = obs::prof::enabled();
-    obs::prof::PhaseTimes phases_before;
-    if (prof_on) {
-        // The sweep's phase block is the delta of the process rollup
-        // across this call; flush this thread so earlier activity is
-        // not charged to it (worker threads flush per job).
-        obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
-        phases_before = obs::globalMetrics().phaseTimes();
-    }
-    const sram::VddModel model(spec.model);
+    // The record's phase block is the process rollup's growth across
+    // this call and the caller's serialization of the result.
+    const obs::PhaseWindow phases = obs::PhaseWindow::open();
     const bool hier = !spec.lowerLevels.empty();
 
     VddSweepResult result;
@@ -474,69 +497,9 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
     result.grid = spec.grid;
     result.hierarchy = hier;
 
-    std::vector<CurveSetup> setups;
-    setups.reserve(spec.schemes.size());
-    for (const WriteScheme s : spec.schemes)
-        setups.push_back(curveSetup(spec, model, s));
-
-    // One job per timing class: every job replays the identical stream
-    // (shared through streamKey) with one controller per scheme, the
-    // model attached at the class's highest voltage. The job's inspect
-    // hook then builds each grid point of the class on the worker —
-    // energy re-priced at the point's own rates, fault maps through
-    // the process-global memo — so the calling thread only assembles
-    // curves. Classes go out lowest-Vdd first: the 6T campaigns there
-    // are the longest, so they start first.
-    const std::vector<std::vector<std::size_t>> classes =
-        timingClasses(spec, model);
-    std::vector<std::vector<VddPointResult>> points(
-        spec.schemes.size(), std::vector<VddPointResult>(spec.grid.size()));
+    VddSweepBatch batch(spec, result.workload);
     std::vector<SweepJob> jobs;
-    jobs.reserve(classes.size());
-    for (auto c = classes.rbegin(); c != classes.rend(); ++c) {
-        const std::vector<std::size_t> &members = *c;
-        SweepJob job;
-        job.makeGenerator = spec.makeGenerator;
-        job.streamKey = spec.streamKey;
-        job.vdd = spec.grid[members.front()];
-        job.configs.reserve(spec.schemes.size());
-        for (const WriteScheme s : spec.schemes) {
-            ControllerConfig cfg;
-            cfg.cache = spec.cache;
-            cfg.vmodel = spec.model;
-            if (!hier) {
-                cfg.scheme = s;
-                cfg.vdd = job.vdd;
-            } else {
-                // Hierarchy mode: the L1 is pinned while the scheme
-                // axis and the grid voltage ride on the L2.
-                cfg.scheme = spec.topScheme;
-                cfg.vdd = spec.topVdd;
-                cfg.lowerLevels = spec.lowerLevels;
-                cfg.lowerLevels.front().scheme = s;
-                cfg.lowerLevels.front().vdd = job.vdd;
-            }
-            job.configs.push_back(cfg);
-        }
-        job.inspect = [&, members](MultiSchemeRunner &runner) {
-            // Re-pricing is energy materialization; the campaigns
-            // inside carry their own fault_map scope.
-            const obs::prof::ScopedPhase energy_scope(
-                obs::prof::Phase::Energy);
-            for (std::size_t si = 0; si < spec.schemes.size(); ++si) {
-                const LevelStack &stack = runner.stack(si);
-                const SchemeRunResult run =
-                    snapshotResult(result.workload, stack);
-                for (const std::size_t gi : members) {
-                    const double vdd = spec.grid[gi];
-                    points[si][gi] = pointAt(
-                        spec, model, setups[si], vdd,
-                        repricedAt(run, stack, hier, vdd));
-                }
-            }
-        };
-        jobs.push_back(std::move(job));
-    }
+    batch.appendJobs(jobs);
 
     // Hierarchy sweeps get their own label so their perf records never
     // pair with a single-level sweep of the same workload in
@@ -545,26 +508,8 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
         "vdd_sweep:" + result.workload + (hier ? "+l2" : "");
 
     const ParallelSweeper sweeper(workers);
-    sweeper.run(jobs, rc, label); // the inspect hooks filled `points`
-
-    result.curves.reserve(spec.schemes.size());
-    for (std::size_t si = 0; si < spec.schemes.size(); ++si) {
-        VddCurve curve;
-        curve.scheme = toString(spec.schemes[si]);
-        curve.cell = setups[si].cell;
-        curve.points = std::move(points[si]);
-
-        // min-Vdd: the lowest voltage reachable from nominal through
-        // operational points only — an operational island below a
-        // failing point is unusable, DVFS descends the curve
-        // continuously.
-        for (const VddPointResult &pt : curve.points) {
-            if (!pt.operational)
-                break;
-            curve.minVdd = pt.vdd;
-        }
-        result.curves.push_back(std::move(curve));
-    }
+    sweeper.run(jobs, rc, label); // the inspect hooks filled the batch
+    result.curves = batch.takeCurves();
 
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
@@ -578,8 +523,7 @@ runVddSweep(const VddSweepSpec &spec, const RunConfig &rc, unsigned workers)
     result._pending->workers = sweeper.workers();
     result._pending->replayedConfigRuns = jobs.size() * spec.schemes.size();
     result._pending->wallSeconds = wall;
-    result._pending->phasesBefore = phases_before;
-    result._pending->profOn = prof_on;
+    result._pending->phases = phases;
     return result;
 }
 

@@ -242,6 +242,56 @@ class VddSweepResult
 };
 
 /**
+ * The timing-class evaluator behind runVddSweep and runExplore: one
+ * sweep's jobs, built so a caller can run them alongside other jobs in
+ * one ParallelSweeper run.
+ *
+ * appendJobs() adds one SweepJob per timing class, lowest Vdd first.
+ * Each job's inspect hook builds every grid point of its class on the
+ * worker that replayed it: energy re-priced at the point's rates, fault
+ * maps through the process-global FaultMapCache. After the jobs have
+ * run, takeCurves() applies the min-Vdd reachability rule. The hooks
+ * point back into the batch, so it must stay alive, at one address,
+ * until the jobs have run.
+ */
+class VddSweepBatch
+{
+  public:
+    /**
+     * @param spec     A valid sweep (runVddSweep validates; the
+     *                 workload factory and stream key are used as is).
+     * @param workload Workload name stamped into every point's run.
+     */
+    VddSweepBatch(VddSweepSpec spec, std::string workload);
+    ~VddSweepBatch();
+
+    VddSweepBatch(const VddSweepBatch &) = delete;
+    VddSweepBatch &operator=(const VddSweepBatch &) = delete;
+
+    /** Append one job per timing class to @p jobs. */
+    void appendJobs(std::vector<SweepJob> &jobs);
+
+    /** One curve per spec scheme, in spec order, once the appended
+     *  jobs have run. Leaves the batch empty. */
+    std::vector<VddCurve> takeCurves();
+
+  private:
+    /** What every point of one scheme's curve shares. */
+    struct CurveSetup;
+
+    VddPointResult pointAt(const CurveSetup &cs, double vdd,
+                           SchemeRunResult run) const;
+
+    const VddSweepSpec _spec;
+    const std::string _workload;
+    const sram::VddModel _model;
+    std::vector<CurveSetup> _setups;
+
+    /** [scheme][grid index], filled by the jobs' inspect hooks. */
+    std::vector<std::vector<VddPointResult>> _points;
+};
+
+/**
  * Run the sweep: one parallel SweepJob per timing class, lowest Vdd
  * first (label "vdd_sweep:<workload>" for the bench/trace plumbing,
  * with a "+l2" suffix in hierarchy mode so the records never pair

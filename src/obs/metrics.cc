@@ -6,6 +6,7 @@
 
 #include "obs/metrics.hh"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -586,6 +587,72 @@ writeGlobalMetrics()
     }
     if (std::rename(tmp.c_str(), path.c_str()) != 0)
         fail();
+}
+
+PhaseWindow
+PhaseWindow::open()
+{
+    PhaseWindow w;
+    w._active = prof::enabled();
+    if (w._active) {
+        // Flush this thread so earlier activity is not charged to the
+        // window (worker threads flush per job).
+        globalMetrics().addPhaseTimes(prof::takeThreadTimes());
+        w._before = globalMetrics().phaseTimes();
+    }
+    return w;
+}
+
+prof::PhaseTimes
+PhaseWindow::close() const
+{
+    prof::PhaseTimes out;
+    if (!_active)
+        return out;
+    // Fold in everything this thread did since the window opened —
+    // including a caller's Serialize scopes — and diff.
+    globalMetrics().addPhaseTimes(prof::takeThreadTimes());
+    const prof::PhaseTimes after = globalMetrics().phaseTimes();
+    for (std::size_t i = 0; i < prof::kNumPhases; ++i) {
+        out.ns[i] = after.ns[i] - _before.ns[i];
+        out.scopes[i] = after.scopes[i] - _before.scopes[i];
+    }
+    return out;
+}
+
+void
+appendBenchRecord(const char *source,
+                  const std::function<void(std::ostream &)> &fields,
+                  const prof::PhaseTimes *phases)
+{
+    const char *path = std::getenv("C8T_BENCH_JSON");
+    if (!path || !*path)
+        return;
+    std::ofstream os(path, std::ios::app);
+    if (!os) {
+        // Warn once instead of dropping every perf record silently.
+        static std::atomic<bool> warned{false};
+        if (!warned.exchange(true)) {
+            std::cerr << source << ": cannot open C8T_BENCH_JSON=\""
+                      << path << "\" for append; perf records disabled\n";
+        }
+        return;
+    }
+    os << '{';
+    fields(os);
+    if (phases) {
+        os << ",\"phases\":{";
+        for (std::size_t i = 0; i < prof::kNumPhases; ++i) {
+            os << "\"" << prof::toString(static_cast<prof::Phase>(i))
+               << "\":";
+            stats::jsonNumber(os, sec(phases->ns[i]));
+            os << ",";
+        }
+        os << "\"total\":";
+        stats::jsonNumber(os, sec(phases->totalNs()));
+        os << "}";
+    }
+    os << "}\n";
 }
 
 } // namespace c8t::obs

@@ -29,6 +29,7 @@
 #define C8T_OBS_METRICS_HH
 
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -215,6 +216,44 @@ std::string resolvedMetricsPath();
  * once and disables further attempts.
  */
 void writeGlobalMetrics();
+
+/**
+ * A window over the process phase rollup, for a perf record written
+ * after its run. open() flushes the calling thread into
+ * globalMetrics() and snapshots the rollup; close() flushes again and
+ * returns the rollup's growth since. Both do nothing when the profiler
+ * was off at open() (active() false); a default-constructed window is
+ * inactive. Every thread that flushes in between lands in the window,
+ * so keep one recording window live at a time.
+ */
+class PhaseWindow
+{
+  public:
+    /** Open a window now. */
+    static PhaseWindow open();
+
+    /** Whether the profiler was on when the window opened. */
+    bool active() const { return _active; }
+
+    /** Phase times since open() (all zero when inactive). */
+    prof::PhaseTimes close() const;
+
+  private:
+    bool _active = false;
+    prof::PhaseTimes _before;
+};
+
+/**
+ * Append one JSON-lines perf record to C8T_BENCH_JSON (no-op when the
+ * variable is unset or empty): '{', the fields @p fields writes, a
+ * "phases" block (per-phase self time in seconds plus their total)
+ * when @p phases is non-null, then "}\n". A path that cannot be opened
+ * warns once per process, prefixed with @p source, and drops the
+ * record. @p fields runs only when the record is written.
+ */
+void appendBenchRecord(const char *source,
+                       const std::function<void(std::ostream &)> &fields,
+                       const prof::PhaseTimes *phases);
 
 } // namespace c8t::obs
 

@@ -11,20 +11,28 @@
  *     complete directory re-executes nothing;
  *   - safety: checkpoints from a different spec are rejected;
  *   - dedup: the workload-major expansion keeps the stream-cache hit
- *     rate high (the tentpole's perf claim).
+ *     rate high;
+ *   - agreement: every design point is, bit for bit, the min-Vdd
+ *     summary of a runVddSweep over that cell, and a cell replays
+ *     once per timing class of the grid.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/explorer.hh"
+#include "core/vdd_sweep.hh"
+#include "obs/metrics.hh"
 #include "sram/vmodel.hh"
+#include "trace/markov_stream.hh"
+#include "trace/spec_profiles.hh"
 
 namespace
 {
@@ -34,6 +42,7 @@ using core::DesignPointSummary;
 using core::ExploreResult;
 using core::ExplorerSpec;
 using core::RunConfig;
+using core::VddSweepSpec;
 using core::WriteScheme;
 
 RunConfig
@@ -288,6 +297,133 @@ TEST(Explorer, FrontierIsTheNonDominatedSet)
         for (const DesignPointSummary *q : front)
             EXPECT_TRUE(q->operational);
     }
+}
+
+/** The VddSweepSpec of the explorer cell behind @p p: the cell's
+ *  cache (in hierarchy mode a 6T L1 at nominal over an L2 of 8 ways
+ *  with the L1's block and replacement) swept over the explore's
+ *  grid — the nominal supply alone for a nominal-only explore. */
+VddSweepSpec
+cellSweepSpec(const ExplorerSpec &spec, const DesignPointSummary &p)
+{
+    VddSweepSpec s;
+    const trace::StreamParams profile = trace::specProfile(p.workload);
+    s.makeGenerator = [profile] {
+        return std::make_unique<trace::MarkovStream>(profile);
+    };
+    s.streamKey = trace::streamSignature(profile);
+    s.cache = mem::CacheConfig{p.sizeBytes, p.ways, p.blockBytes, p.repl};
+    if (p.l2SizeBytes) {
+        core::LevelConfig l2;
+        l2.cache = mem::CacheConfig{p.l2SizeBytes, 8, p.blockBytes, p.repl};
+        s.lowerLevels = {l2};
+    }
+    s.schemes = spec.schemes;
+    s.grid = spec.vddGrid.empty()
+                 ? std::vector<double>{spec.model.nominalVdd}
+                 : spec.vddGrid;
+    s.model = spec.model;
+    s.failureThreshold = spec.failureThreshold;
+    s.runSeed = spec.runSeed;
+    s.faultRows = spec.faultRows;
+    return s;
+}
+
+/** EXPECT every design point of an explore of @p spec to equal (==)
+ *  the min-Vdd summary of its cell's runVddSweep curve. */
+void
+expectAgreesWithVddSweep(const ExplorerSpec &spec)
+{
+    const bool nominal_only = spec.vddGrid.empty();
+    for (const unsigned workers : {1u, 4u}) {
+        const ExploreResult r = runExplore(spec, testWindow(), workers);
+        ASSERT_TRUE(r.completed);
+        ASSERT_FALSE(r.summaries.empty());
+        for (const DesignPointSummary &p : r.summaries) {
+            const std::string where =
+                p.workload + " " + std::to_string(p.sizeBytes) + "/" +
+                std::to_string(p.ways) + " l2=" +
+                std::to_string(p.l2SizeBytes) + " " + p.scheme +
+                " workers=" + std::to_string(workers);
+            const core::VddSweepResult sweep =
+                core::runVddSweep(cellSweepSpec(spec, p), testWindow(), 1);
+            const core::VddCurve *curve =
+                sweep.curve(core::parseWriteScheme(p.scheme));
+            ASSERT_NE(curve, nullptr) << where;
+
+            // A nominal-only point is operational by definition.
+            const bool operational =
+                nominal_only || curve->points.front().operational;
+            const double min_vdd =
+                nominal_only ? spec.model.nominalVdd : curve->minVdd;
+            const core::VddPointResult *at = &curve->points.front();
+            for (const core::VddPointResult &pt : curve->points) {
+                if (operational && pt.vdd == min_vdd)
+                    at = &pt;
+            }
+            EXPECT_EQ(p.operational, operational) << where;
+            EXPECT_EQ(p.minVdd, min_vdd) << where;
+            EXPECT_EQ(p.energyPerAccess, at->energyPerAccess) << where;
+            EXPECT_EQ(p.edpPerAccess, at->edpPerAccess) << where;
+            EXPECT_EQ(p.cyclesPerAccess, at->cyclesPerAccess) << where;
+            EXPECT_EQ(p.missRate,
+                      static_cast<double>(at->run.misses) /
+                          static_cast<double>(at->run.requests))
+                << where;
+        }
+    }
+}
+
+/** testSpec() over all four schemes, so the 6T baseline's earlier
+ *  failures are covered too. */
+ExplorerSpec
+agreementSpec()
+{
+    ExplorerSpec spec = testSpec();
+    spec.schemes = ExplorerSpec{}.schemes;
+    return spec;
+}
+
+TEST(ExplorerAgreement, SingleLevelPointsAreVddSweepSummaries)
+{
+    // 6T stops at 1.0 V, the 8T schemes at 0.8 V (0.6 V fails).
+    ExplorerSpec spec = agreementSpec();
+    spec.vddGrid = {1.0, 0.8, 0.6};
+    expectAgreesWithVddSweep(spec);
+}
+
+TEST(ExplorerAgreement, HierarchyPointsAreVddSweepSummaries)
+{
+    // A low grid: the 6T L2 is not operational anywhere, so its rows
+    // summarize the highest grid point.
+    ExplorerSpec spec = agreementSpec();
+    spec.l2SizesKb = {64};
+    spec.vddGrid = {0.7, 0.6};
+    expectAgreesWithVddSweep(spec);
+}
+
+TEST(ExplorerAgreement, NominalOnlyPointsAreVddSweepSummaries)
+{
+    ExplorerSpec spec = agreementSpec();
+    spec.vddGrid.clear();
+    expectAgreesWithVddSweep(spec);
+}
+
+TEST(ExplorerAgreement, CellReplaysOncePerTimingClass)
+{
+    // 0.9 V and 0.8 V run at the same scaled latencies, so each cell
+    // submits two sweep jobs ({1.0}, {0.9, 0.8}), not three. One shard
+    // holds every cell, so the last sweep's job count covers them all.
+    ExplorerSpec spec = testSpec();
+    spec.vddGrid = {1.0, 0.9, 0.8};
+    spec.cellsPerShard = 64;
+    const ExploreResult r = runExplore(spec, testWindow(), 2);
+    ASSERT_TRUE(r.completed);
+    ASSERT_EQ(r.shardsExecuted, 1u);
+    EXPECT_EQ(obs::globalMetrics().sweep().jobsTotal,
+              2 * (r.cellsTotal - r.cellsSkipped));
+    // The logical config-run count is unchanged: schemes x grid.
+    EXPECT_EQ(r.configRunsExecuted, 8u * 2u * 3u);
 }
 
 } // namespace

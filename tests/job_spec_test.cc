@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -149,7 +150,8 @@ TEST(JobSpecTest, FullSpecParses)
         "\"cache\":{\"size_kb\":64,\"ways\":8,\"block\":32,"
         "\"repl\":\"lru\"},"
         "\"schemes\":[\"RMW\",\"WG+RB\"],\"buffer_entries\":4,"
-        "\"silent_detection\":false,\"l2_kb\":256,\"vdd\":0.8}");
+        "\"silent_detection\":false,\"levels\":[{\"size_kb\":256}],"
+        "\"vdd\":0.8}");
     EXPECT_EQ(spec.workload, "kernel:hash_update");
     EXPECT_EQ(spec.accesses, 250'000u);
     EXPECT_EQ(spec.warmup, 1'000u);
@@ -159,11 +161,57 @@ TEST(JobSpecTest, FullSpecParses)
     EXPECT_EQ(spec.schemes.size(), 2u);
     EXPECT_EQ(spec.bufferEntries, 4u);
     EXPECT_FALSE(spec.silentDetection);
-    // "l2_kb" is the deprecated alias: a default L2 of that capacity.
+    // A level with only a capacity gets the default L2 shape.
     ASSERT_EQ(spec.levels.size(), 1u);
     EXPECT_EQ(spec.levels[0].sizeKb, 256u);
     EXPECT_EQ(spec.levels[0].ways, 8u);
     EXPECT_DOUBLE_EQ(spec.vdd, 0.8);
+}
+
+TEST(JobSpecTest, IntegersParseExactly)
+{
+    // Above 2^53 a double rounds: 2^53 + 1 must survive as itself.
+    EXPECT_EQ(JobSpec::fromJsonText(
+                  "{\"kind\":\"run\",\"accesses\":9007199254740993}")
+                  .accesses,
+              9'007'199'254'740'993ull);
+    // 2^64 - 1 is the largest u64; as a double it rounds up to 2^64,
+    // which no u64 conversion can hold.
+    EXPECT_EQ(JobSpec::fromJsonText("{\"kind\":\"run\","
+                                    "\"accesses\":18446744073709551615}")
+                  .accesses,
+              18'446'744'073'709'551'615ull);
+    expectParseError(
+        "{\"kind\":\"run\",\"accesses\":18446744073709551616}",
+        "job spec: accesses: ");
+}
+
+TEST(JobSpecTest, ThirtyTwoBitFieldsRejectOverflow)
+{
+    // 2^32 + 4 must not wrap to 4 in any 32-bit field.
+    const std::pair<const char *, const char *> cases[] = {
+        {"{\"kind\":\"run\",\"cache\":{\"ways\":4294967300}}",
+         "job spec: cache.ways: "},
+        {"{\"kind\":\"run\",\"cache\":{\"block\":4294967328}}",
+         "job spec: cache.block: "},
+        {"{\"kind\":\"run\",\"buffer_entries\":4294967297}",
+         "job spec: buffer_entries: "},
+        {"{\"kind\":\"run\",\"levels\":[{\"ways\":4294967304}]}",
+         "job spec: levels[].ways: "},
+        {"{\"kind\":\"run\",\"levels\":[{\"block\":4294967328}]}",
+         "job spec: levels[].block: "},
+        {"{\"kind\":\"explore\",\"explore\":{\"ways\":[4294967300]}}",
+         "job spec: explore.ways[]: "},
+        {"{\"kind\":\"explore\",\"explore\":{\"blocks\":[4294967328]}}",
+         "job spec: explore.blocks[]: "},
+    };
+    for (const auto &[text, needle] : cases)
+        expectParseError(text, needle);
+    // The largest 32-bit value itself is in range.
+    EXPECT_EQ(JobSpec::fromJsonText(
+                  "{\"kind\":\"run\",\"buffer_entries\":4294967295}")
+                  .bufferEntries,
+              4'294'967'295u);
 }
 
 TEST(JobSpecTest, LevelsArrayParses)
@@ -195,11 +243,12 @@ TEST(JobSpecTest, DuplicateLevelKeyRejected)
         "duplicate");
 }
 
-TEST(JobSpecTest, L2AliasAndLevelsAreMutuallyExclusive)
+TEST(JobSpecTest, RetiredL2KbKeyIsRejected)
 {
-    expectParseError("{\"kind\":\"run\",\"l2_kb\":256,"
-                     "\"levels\":[{\"size_kb\":256}]}",
-                     "deprecated alias");
+    // The retired tags-only shim's "l2_kb" alias is gone: it fails
+    // like any other typo instead of simulating something else.
+    expectParseError("{\"kind\":\"run\",\"l2_kb\":256}",
+                     "unknown key \"l2_kb\"");
 }
 
 TEST(JobSpecTest, LevelSpecRoundTripsThroughCanonicalForm)
