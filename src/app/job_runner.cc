@@ -33,7 +33,7 @@ levelConfigs(const core::JobSpec &spec)
     out.reserve(spec.levels.size());
     for (const core::LevelSpec &l : spec.levels) {
         core::LevelConfig c;
-        c.cache.sizeBytes = l.sizeKb * 1024;
+        c.cache.sizeBytes = mem::kibToBytes(l.sizeKb, "levels[].size_kb");
         c.cache.ways = l.ways;
         c.cache.blockBytes =
             l.blockBytes ? l.blockBytes : spec.cache.blockBytes;

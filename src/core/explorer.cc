@@ -104,7 +104,7 @@ mem::CacheConfig
 cacheFor(const ExplorerSpec &spec, const CellCoord &c)
 {
     mem::CacheConfig cache;
-    cache.sizeBytes = spec.sizesKb[c.size] * 1024;
+    cache.sizeBytes = mem::kibToBytes(spec.sizesKb[c.size], "sizes_kb");
     cache.ways = spec.ways[c.ways];
     cache.blockBytes = spec.blocks[c.block];
     cache.replacement = spec.replacements[c.repl];
@@ -119,7 +119,8 @@ lowerFor(const ExplorerSpec &spec, const CellCoord &c,
          const mem::CacheConfig &l1)
 {
     LevelConfig l2;
-    l2.cache.sizeBytes = spec.l2SizesKb[c.l2] * 1024;
+    l2.cache.sizeBytes =
+        mem::kibToBytes(spec.l2SizesKb[c.l2], "l2_sizes_kb");
     l2.cache.ways = 8;
     l2.cache.blockBytes = l1.blockBytes;
     l2.cache.replacement = l1.replacement;
@@ -360,6 +361,10 @@ ExplorerSpec::validate() const
     }
     if (sizesKb.empty())
         throw std::invalid_argument("ExplorerSpec: no cache sizes");
+    // Capacities that overflow in bytes fail here, before any shard
+    // runs, rather than mid-explore in cacheFor/lowerFor.
+    for (const std::uint64_t kb : sizesKb)
+        mem::kibToBytes(kb, "ExplorerSpec: sizes_kb");
     if (ways.empty())
         throw std::invalid_argument("ExplorerSpec: no associativities");
     if (blocks.empty())
@@ -373,6 +378,7 @@ ExplorerSpec::validate() const
         if (kb == 0)
             throw std::invalid_argument(
                 "ExplorerSpec: L2 sizes must be > 0");
+        mem::kibToBytes(kb, "ExplorerSpec: l2_sizes_kb");
     }
     for (std::size_t i = 1; i < vddGrid.size(); ++i) {
         if (!(vddGrid[i] < vddGrid[i - 1]))

@@ -316,6 +316,16 @@ asU64(const JsonValue &v, const char *key)
     return out;
 }
 
+/** asU64 for a KiB capacity: one whose byte count overflows 64 bits is
+ *  rejected, never wrapped. */
+std::uint64_t
+asKib(const JsonValue &v, const char *key)
+{
+    const std::uint64_t kib = asU64(v, key);
+    mem::kibToBytes(kib, std::string("job spec: ") + key);
+    return kib;
+}
+
 /** asU64 for a 32-bit field: out-of-range values are rejected, never
  *  truncated. */
 std::uint32_t
@@ -433,7 +443,8 @@ JobSpec::validate() const
         specFail("vdd must be > 0");
     for (const LevelSpec &l : levels) {
         mem::CacheConfig lc;
-        lc.sizeBytes = l.sizeKb * 1024;
+        lc.sizeBytes =
+            mem::kibToBytes(l.sizeKb, "job spec: levels[].size_kb");
         lc.ways = l.ways;
         lc.blockBytes = l.blockBytes ? l.blockBytes : cache.blockBytes;
         lc.replacement = l.repl;
@@ -481,7 +492,8 @@ JobSpec::fromJson(const JsonValue &v)
         rejectUnknownKeys(*c, "cache",
                           {"size_kb", "ways", "block", "repl"});
         if (const JsonValue *s = c->find("size_kb"))
-            spec.cache.sizeBytes = asU64(*s, "cache.size_kb") * 1024;
+            spec.cache.sizeBytes = mem::kibToBytes(
+                asU64(*s, "cache.size_kb"), "job spec: cache.size_kb");
         if (const JsonValue *w = c->find("ways")) {
             spec.cache.ways = asU32(*w, "cache.ways");
         }
@@ -562,7 +574,7 @@ JobSpec::fromJson(const JsonValue &v)
         if (const JsonValue *s = e->find("sizes_kb")) {
             spec.exploreSizesKb = asList<std::uint64_t>(
                 *s, "explore.sizes_kb", [](const JsonValue &i) {
-                    return asU64(i, "explore.sizes_kb[]");
+                    return asKib(i, "explore.sizes_kb[]");
                 });
         }
         if (const JsonValue *w = e->find("ways")) {
@@ -593,7 +605,7 @@ JobSpec::fromJson(const JsonValue &v)
         if (const JsonValue *l = e->find("l2_sizes_kb")) {
             spec.exploreL2SizesKb = asList<std::uint64_t>(
                 *l, "explore.l2_sizes_kb", [](const JsonValue &i) {
-                    return asU64(i, "explore.l2_sizes_kb[]");
+                    return asKib(i, "explore.l2_sizes_kb[]");
                 });
         }
         if (const JsonValue *s = e->find("shard_cells")) {

@@ -10,12 +10,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "core/stream_cache.hh"
 #include "core/worker_pool.hh"
@@ -275,14 +274,7 @@ emitTraceSpans(const std::string &label,
 unsigned
 ParallelSweeper::defaultWorkers()
 {
-    if (const char *env = std::getenv("C8T_JOBS")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1 && v <= 4096)
-            return static_cast<unsigned>(v);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    return SweepPool::defaultWorkers();
 }
 
 bool
@@ -305,8 +297,10 @@ ParallelSweeper::run(const std::vector<SweepJob> &jobs, const RunConfig &rc,
     const bool prof_on = obs::prof::enabled();
     if (prof_on) {
         // Flush whatever phase time this thread accumulated before
-        // the sweep into the process rollup, so the inline path's
-        // first per-job delta below starts from zero.
+        // the sweep into the process rollup, so the take after the
+        // serialize scope below holds only this run's share — and a
+        // nested run, whose jobs execute inline on this worker thread,
+        // starts its first per-job delta from zero.
         obs::globalMetrics().addPhaseTimes(obs::prof::takeThreadTimes());
     }
     std::vector<std::vector<SchemeRunResult>> results(jobs.size());
@@ -318,20 +312,21 @@ ParallelSweeper::run(const std::vector<SweepJob> &jobs, const RunConfig &rc,
             accesses_per_job,
             job.configs.size() * (rc.warmupAccesses + rc.measureAccesses));
     }
-    const unsigned pool =
-        static_cast<unsigned>(std::min<std::size_t>(_workers, jobs.size()));
 
-    // When a process-wide SweepPool is installed (the c8td daemon),
-    // route the jobs through it instead of spawning a private thread
-    // team: all concurrent sweeps then share one team with per-client
-    // fairness. Submissions from a pool worker (nested sweeps) fall
-    // back to the inline/private paths below via runBatch's inline
-    // guard — but we keep them off the shared path entirely so their
-    // span worker indices stay consistent.
-    SweepPool *shared = globalSweepPool();
-    const bool use_shared = shared && !SweepPool::onWorkerThread();
-    const unsigned tracks =
-        use_shared ? shared->workers() : (pool ? pool : 1);
+    // Every job runs on a SweepPool: the pool this thread works for (a
+    // nested run, which runBatch executes inline on this worker), else
+    // the installed process-wide pool (the c8td daemon), else a pool
+    // local to this run and no wider than its work. An empty list
+    // builds no pool. Job spans land on the pool's worker tracks.
+    SweepPool *pool = SweepPool::current();
+    if (!pool)
+        pool = globalSweepPool();
+    std::optional<SweepPool> local;
+    if (!pool && !jobs.empty()) {
+        pool = &local.emplace(static_cast<unsigned>(
+            std::min<std::size_t>(_workers, jobs.size())));
+    }
+    const unsigned tracks = pool ? pool->workers() : 1;
 
     Heartbeat heartbeat(_progress, label, jobs.size(), accesses_per_job,
                         tracks, t0);
@@ -354,48 +349,17 @@ ParallelSweeper::run(const std::vector<SweepJob> &jobs, const RunConfig &rc,
         heartbeat.noteJobDone();
     };
 
-    if (use_shared) {
+    if (pool) {
         std::vector<SweepPool::Task> tasks;
         tasks.reserve(jobs.size());
         for (std::size_t i = 0; i < jobs.size(); ++i)
             tasks.push_back([&run_one, i](unsigned w) { run_one(i, w); });
-        // Rethrows the first job error; throws JobCancelled when this
-        // thread's client slot was cancelled (client disconnect).
-        shared->runBatch(SweepPool::currentClient(), std::move(tasks));
-    } else if (pool <= 1) {
-        // Inline serial path: reference order, no thread overhead.
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            run_one(i, 0);
-    } else {
-        std::atomic<std::size_t> cursor{0};
-        std::mutex error_mutex;
-        std::exception_ptr first_error;
-
-        const auto worker = [&](unsigned w) {
-            for (;;) {
-                const std::size_t i =
-                    cursor.fetch_add(1, std::memory_order_relaxed);
-                if (i >= jobs.size())
-                    return;
-                try {
-                    run_one(i, w);
-                } catch (...) {
-                    const std::lock_guard<std::mutex> lock(error_mutex);
-                    if (!first_error)
-                        first_error = std::current_exception();
-                }
-            }
-        };
-
-        std::vector<std::thread> threads;
-        threads.reserve(pool);
-        for (unsigned t = 0; t < pool; ++t)
-            threads.emplace_back(worker, t);
-        for (std::thread &t : threads)
-            t.join();
-
-        if (first_error)
-            std::rethrow_exception(first_error);
+        // Rethrows the first job error after the batch drains; throws
+        // JobCancelled when this thread's client slot of the installed
+        // pool was cancelled (client disconnect). A local pool knows
+        // only its default slot.
+        pool->runBatch(local ? 0 : SweepPool::currentClient(),
+                       std::move(tasks));
     }
 
     const double wall =

@@ -4,14 +4,15 @@
  *
  * Every figure/table binary replays many independent (workload,
  * cache-config, scheme-set) runs; historically they ran serially
- * through one loop. ParallelSweeper fans those runs across a pool of
- * worker threads. Each job is fully self-contained — it constructs its
- * own AccessGenerator (seeded deterministically from the workload
+ * through one loop. ParallelSweeper fans those runs across the worker
+ * threads of a SweepPool (core/worker_pool.hh): the installed
+ * process-wide pool when there is one, else a pool local to the run.
+ * Each job is fully self-contained — it constructs its own
+ * AccessGenerator (seeded deterministically from the workload
  * parameters), its own FunctionalMemory instances and its own
  * MultiSchemeRunner — so no simulation state is shared between threads
  * and the results are byte-identical to the serial order for any
- * worker count (including 1, which runs inline without spawning
- * threads).
+ * worker count.
  *
  * Worker count resolution: an explicit constructor argument wins, then
  * the C8T_JOBS environment variable, then hardware_concurrency().
@@ -106,7 +107,7 @@ struct SweepJob
 };
 
 /**
- * Thread-pool executor for independent sweep jobs.
+ * Executor for independent sweep jobs on a SweepPool.
  */
 class ParallelSweeper
 {
@@ -153,11 +154,14 @@ class ParallelSweeper
      * Run every job and collect the per-job result vectors in
      * submission order.
      *
-     * Jobs are claimed from an atomic cursor by the workers; because
-     * every job owns all of its state, the schedule cannot influence
-     * the numbers — results are bit-identical for any worker count.
-     * The first exception thrown by a job is rethrown here after all
-     * workers have stopped.
+     * The jobs run as one SweepPool batch: on the pool the calling
+     * thread works for (a nested run executes inline on that worker),
+     * else on the installed process-wide pool, else on a pool local to
+     * this call with min(workers(), jobs.size()) threads. Because every
+     * job owns all of its state, the schedule cannot influence the
+     * numbers — results are bit-identical for any worker count. The
+     * first exception thrown by a job is rethrown here after the batch
+     * drains.
      *
      * @param jobs  The work list.
      * @param rc    Warm-up/measure window (shared by all jobs).

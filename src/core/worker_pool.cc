@@ -6,9 +6,8 @@
 #include "core/worker_pool.hh"
 
 #include <atomic>
+#include <cstdlib>
 #include <utility>
-
-#include "core/sweep.hh"
 
 namespace c8t::core
 {
@@ -17,7 +16,7 @@ namespace
 {
 
 thread_local SweepPool::ClientId t_client = 0;
-thread_local bool t_isWorker = false;
+thread_local SweepPool *t_pool = nullptr;
 thread_local unsigned t_workerIndex = 0;
 
 std::atomic<SweepPool *> g_pool{nullptr};
@@ -25,13 +24,26 @@ std::atomic<SweepPool *> g_pool{nullptr};
 } // anonymous namespace
 
 SweepPool::SweepPool(unsigned workers)
-    : _workers(workers ? workers : ParallelSweeper::defaultWorkers())
+    : _workers(workers ? workers : defaultWorkers())
 {
     _stats.workers = _workers;
     _slots[0]; // the default slot for unregistered submissions
     _threads.reserve(_workers);
     for (unsigned w = 0; w < _workers; ++w)
         _threads.emplace_back([this, w] { workerLoop(w); });
+}
+
+unsigned
+SweepPool::defaultWorkers()
+{
+    if (const char *env = std::getenv("C8T_JOBS")) {
+        char *end = nullptr;
+        const unsigned long v = std::strtoul(env, &end, 10);
+        if (end != env && *end == '\0' && v >= 1 && v <= 4096)
+            return static_cast<unsigned>(v);
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
 }
 
 SweepPool::~SweepPool()
@@ -109,7 +121,7 @@ SweepPool::runBatch(ClientId client, std::vector<Task> tasks)
     if (tasks.empty())
         return;
 
-    if (t_isWorker) {
+    if (t_pool) {
         // Nested sweep from a worker thread: run inline rather than
         // queueing work this thread would then block on.
         for (Task &t : tasks)
@@ -149,7 +161,7 @@ SweepPool::runBatch(ClientId client, std::vector<Task> tasks)
 void
 SweepPool::workerLoop(unsigned worker)
 {
-    t_isWorker = true;
+    t_pool = this;
     t_workerIndex = worker;
     std::unique_lock<std::mutex> lock(_mutex);
     for (;;) {
@@ -220,10 +232,10 @@ SweepPool::currentClient()
     return t_client;
 }
 
-bool
-SweepPool::onWorkerThread()
+SweepPool *
+SweepPool::current()
 {
-    return t_isWorker;
+    return t_pool;
 }
 
 SweepPool *

@@ -2,32 +2,25 @@
  * @file
  * Process-wide sweep worker pool with per-client fair scheduling.
  *
- * The one-shot drivers each own their sweep concurrency: every
- * ParallelSweeper::run spawns (and joins) its own thread team. That is
- * the right shape for a single batch process, but the c8td daemon
- * multiplexes many concurrent client jobs in one process — letting
- * every job spawn its own team would oversubscribe the machine N-fold
- * and let one greedy client starve the rest.
- *
- * SweepPool is the daemon's answer (DESIGN.md §13): ONE process-wide
- * team of worker threads that every sweep shares. Clients register a
- * slot; work is claimed round-robin across slots at task (= SweepJob /
- * explore-shard) granularity, so a client queueing a thousand shards
+ * Every sweep job runs on a SweepPool (DESIGN.md §5, §13): one team of
+ * worker threads that claims tasks round-robin across client slots at
+ * task (= SweepJob) granularity, so a client queueing a thousand jobs
  * and a client queueing one small run make progress side by side.
  * Cancellation is per-slot: a disconnected client's unclaimed tasks
  * are dropped and its waiting batch completes with JobCancelled;
  * tasks already running finish (simulation is not interruptible) and
  * their results are discarded by the caller.
  *
- * Installation is by a process global (setGlobalSweepPool):
- * ParallelSweeper::run routes its per-job closures through the pool
- * when one is installed, so runVddSweep / runExplore / every figure
- * driver picks up shared scheduling with zero signature changes. The
- * submitting thread is bound to a client slot with ClientScope (a
- * thread-local), because the submission site sits many frames below
- * the daemon's connection handler. Determinism is untouched: the pool
- * only changes WHEN a job runs, never what it computes — results stay
- * byte-identical to the one-shot drivers.
+ * ParallelSweeper::run picks the pool: the one the calling thread
+ * works for (a nested sweep), else the process-wide pool installed
+ * with setGlobalSweepPool (the c8td daemon, where every concurrent
+ * sweep shares one team instead of oversubscribing the machine
+ * N-fold), else a pool local to that run and as wide as its work. The
+ * submitting thread is bound to a client slot of the installed pool
+ * with ClientScope (a thread-local), because the submission site sits
+ * many frames below the daemon's connection handler. Determinism is
+ * untouched: a pool only changes WHEN a job runs, never what it
+ * computes — results stay byte-identical for any pool and width.
  *
  * Re-entrancy: a batch submitted from a pool worker thread runs
  * inline on that worker (nested sweeps cannot deadlock waiting for
@@ -82,10 +75,13 @@ class SweepPool
     };
 
     /**
-     * @param workers Worker threads; 0 = resolve like ParallelSweeper
-     *                (C8T_JOBS, else hardware_concurrency()).
+     * @param workers Worker threads; 0 = defaultWorkers().
      */
     explicit SweepPool(unsigned workers = 0);
+
+    /** Default team width: the C8T_JOBS environment variable if set and
+     *  valid (1..4096), else hardware_concurrency(), at least 1. */
+    static unsigned defaultWorkers();
 
     /** Cancels every pending task, then joins the workers. */
     ~SweepPool();
@@ -142,8 +138,8 @@ class SweepPool
     /** The calling thread's bound slot (0 when unbound). */
     static ClientId currentClient();
 
-    /** Whether the calling thread is one of a pool's workers. */
-    static bool onWorkerThread();
+    /** The pool the calling thread is a worker of, or nullptr. */
+    static SweepPool *current();
 
   private:
     struct Batch
@@ -187,7 +183,7 @@ SweepPool *globalSweepPool();
 
 /**
  * Install (or, with nullptr, uninstall) the process-wide pool.
- * ParallelSweeper::run routes through it while installed. The caller
+ * ParallelSweeper::run submits to it while installed. The caller
  * keeps ownership and must keep the pool alive until uninstalled and
  * every in-flight sweep has returned.
  */

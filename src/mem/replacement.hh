@@ -1,21 +1,20 @@
 /**
  * @file
- * Pluggable replacement policies.
+ * Replacement policy selector.
  *
  * The paper's baseline uses LRU; Tree-PLRU, FIFO and Random are
  * provided both as substrate completeness and for the replacement
- * sensitivity ablation (bench/abl_replacement).
+ * sensitivity ablation (bench/abl_replacement). Each policy is
+ * implemented once, as a packed per-set encoding inside mem::TagArray
+ * (mem/cache.hh); tests/replacement_reference.hh keeps the
+ * straightforward per-way models those encodings are checked against.
  */
 
 #ifndef C8T_MEM_REPLACEMENT_HH
 #define C8T_MEM_REPLACEMENT_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
-
-#include "trace/rng.hh"
 
 namespace c8t::mem
 {
@@ -34,115 +33,6 @@ const char *toString(ReplKind k);
 /** Parse a policy name ("lru", "plru", "fifo", "random").
  *  @throws std::invalid_argument on unknown names. */
 ReplKind parseReplKind(const std::string &name);
-
-/**
- * Replacement state for one cache (all sets).
- */
-class ReplacementPolicy
-{
-  public:
-    virtual ~ReplacementPolicy() = default;
-
-    /** Record a hit/use of (set, way). */
-    virtual void touch(std::uint32_t set, std::uint32_t way) = 0;
-
-    /** Record a fill into (set, way). */
-    virtual void insert(std::uint32_t set, std::uint32_t way) = 0;
-
-    /**
-     * Pick the victim way of @p set. Invalid ways (bit clear in
-     * @p valid_mask) are preferred before any replacement heuristics.
-     */
-    virtual std::uint32_t victim(std::uint32_t set,
-                                 std::uint64_t valid_mask) = 0;
-
-    /** Policy name. */
-    virtual std::string name() const = 0;
-};
-
-/**
- * Construct a policy instance.
- *
- * @param kind Policy selector.
- * @param sets Number of sets.
- * @param ways Associativity (<= 64).
- * @param seed Seed for the Random policy (ignored by others).
- */
-std::unique_ptr<ReplacementPolicy>
-makeReplacementPolicy(ReplKind kind, std::uint32_t sets, std::uint32_t ways,
-                      std::uint64_t seed = 12345);
-
-/** True LRU via per-set recency stamps. */
-class LruPolicy : public ReplacementPolicy
-{
-  public:
-    LruPolicy(std::uint32_t sets, std::uint32_t ways);
-
-    void touch(std::uint32_t set, std::uint32_t way) override;
-    void insert(std::uint32_t set, std::uint32_t way) override;
-    std::uint32_t victim(std::uint32_t set,
-                         std::uint64_t valid_mask) override;
-    std::string name() const override { return "lru"; }
-
-  private:
-    std::uint32_t _ways;
-    std::uint64_t _clock = 0;
-    std::vector<std::uint64_t> _stamp; // [set * ways + way]
-};
-
-/** Tree pseudo-LRU (binary decision tree per set; ways must be 2^n). */
-class TreePlruPolicy : public ReplacementPolicy
-{
-  public:
-    TreePlruPolicy(std::uint32_t sets, std::uint32_t ways);
-
-    void touch(std::uint32_t set, std::uint32_t way) override;
-    void insert(std::uint32_t set, std::uint32_t way) override;
-    std::uint32_t victim(std::uint32_t set,
-                         std::uint64_t valid_mask) override;
-    std::string name() const override { return "plru"; }
-
-  private:
-    std::uint32_t _ways;
-    std::uint32_t _nodes; // ways - 1 internal nodes per set
-    std::vector<std::uint8_t> _tree; // [set * nodes + node]
-};
-
-/** FIFO: evict in fill order. */
-class FifoPolicy : public ReplacementPolicy
-{
-  public:
-    FifoPolicy(std::uint32_t sets, std::uint32_t ways);
-
-    void touch(std::uint32_t set, std::uint32_t way) override;
-    void insert(std::uint32_t set, std::uint32_t way) override;
-    std::uint32_t victim(std::uint32_t set,
-                         std::uint64_t valid_mask) override;
-    std::string name() const override { return "fifo"; }
-
-  private:
-    std::uint32_t _ways;
-    std::uint64_t _clock = 0;
-    std::vector<std::uint64_t> _fillStamp; // [set * ways + way]
-};
-
-/** Uniform random victim selection (deterministic seed). */
-class RandomPolicy : public ReplacementPolicy
-{
-  public:
-    RandomPolicy(std::uint32_t sets, std::uint32_t ways,
-                 std::uint64_t seed);
-
-    void touch(std::uint32_t set, std::uint32_t way) override;
-    void insert(std::uint32_t set, std::uint32_t way) override;
-    std::uint32_t victim(std::uint32_t set,
-                         std::uint64_t valid_mask) override;
-    std::string name() const override { return "random"; }
-
-  private:
-    std::uint32_t _ways;
-    trace::Rng _rng;
-};
 
 } // namespace c8t::mem
 

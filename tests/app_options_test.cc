@@ -277,6 +277,20 @@ TEST(Options, Errors)
     EXPECT_THROW(parse({"--block", "24"}), std::invalid_argument);
 }
 
+TEST(Options, SizeRejectsKibOverflow)
+{
+    // 2^54 + 1 KiB would wrap to a 1 KiB cache if multiplied unchecked.
+    try {
+        parse({"--size", "18014398509481985"});
+        FAIL() << "--size overflow accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "--size: 18014398509481985 KiB is out of range"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Options, UsageMentionsEveryFlag)
 {
     const std::string u = usageText();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "mem/cache.hh"
 
@@ -46,6 +47,50 @@ TEST(CacheConfig, RejectsBadShapes)
     c = baseline();
     c.sizeBytes = 3 * 32 * 1024; // 768 sets: not a power of two
     EXPECT_THROW(c.validate(), std::invalid_argument);
+}
+
+TEST(CacheConfig, RejectsUnencodableReplacementWidths)
+{
+    // A cache of the given policy and width: 16 sets of 32 B blocks.
+    const auto shape = [](ReplKind k, std::uint32_t ways) {
+        CacheConfig c;
+        c.ways = ways;
+        c.sizeBytes = static_cast<std::uint64_t>(16) * ways * 32;
+        c.replacement = k;
+        return c;
+    };
+    const auto message = [](const CacheConfig &c) {
+        try {
+            c.validate();
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+
+    // LRU: the nibble-per-way recency word encodes 1..16 ways.
+    for (std::uint32_t w = 1; w <= kMaxLruWays; ++w)
+        EXPECT_NO_THROW(shape(ReplKind::Lru, w).validate()) << w;
+    EXPECT_EQ(message(shape(ReplKind::Lru, 17)),
+              "CacheConfig: lru ways must be in 1..16");
+    EXPECT_EQ(message(shape(ReplKind::Lru, 64)),
+              "CacheConfig: lru ways must be in 1..16");
+
+    // Tree-PLRU: any power of two, one way (direct-mapped) included.
+    for (std::uint32_t w : {1u, 2u, 4u, 8u, 16u, 32u, 64u})
+        EXPECT_NO_THROW(shape(ReplKind::TreePlru, w).validate()) << w;
+    EXPECT_EQ(message(shape(ReplKind::TreePlru, 3)),
+              "CacheConfig: plru ways must be a power of two");
+    EXPECT_EQ(message(shape(ReplKind::TreePlru, 6)),
+              "CacheConfig: plru ways must be a power of two");
+    EXPECT_THROW(TagArray{shape(ReplKind::TreePlru, 3)},
+                 std::invalid_argument);
+
+    // FIFO and Random take any width up to the 64-bit masks.
+    for (ReplKind k : {ReplKind::Fifo, ReplKind::Random}) {
+        for (std::uint32_t w : {3u, 17u, 64u})
+            EXPECT_NO_THROW(shape(k, w).validate()) << toString(k) << w;
+    }
 }
 
 TEST(TagArray, ColdMissThenHit)

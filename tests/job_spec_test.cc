@@ -356,6 +356,49 @@ TEST(JobSpecTest, ValidationCatchesBadShapes)
         "shard_cells");
 }
 
+TEST(JobSpecTest, ReplacementWidthLimitsRejected)
+{
+    // A Tree-PLRU set must be a power of two wide: a 3-way tree never
+    // evicts its last way. One way (direct-mapped) stays legal.
+    expectParseError("{\"kind\":\"run\",\"cache\":{\"size_kb\":48,"
+                     "\"ways\":3,\"repl\":\"plru\"}}",
+                     "plru ways must be a power of two");
+    EXPECT_NO_THROW(JobSpec::fromJsonText(
+        "{\"kind\":\"run\",\"cache\":{\"size_kb\":16,\"ways\":1,"
+        "\"repl\":\"plru\"}}"));
+    // LRU is encoded for at most 16 ways.
+    expectParseError("{\"kind\":\"run\",\"cache\":{\"size_kb\":64,"
+                     "\"ways\":32,\"repl\":\"lru\"}}",
+                     "lru ways must be in 1..16");
+    expectParseError("{\"kind\":\"run\",\"levels\":[{\"size_kb\":96,"
+                     "\"ways\":6,\"repl\":\"plru\"}]}",
+                     "plru ways must be a power of two");
+}
+
+TEST(JobSpecTest, KibCapacitiesRejectOverflow)
+{
+    // 2^54 + 1 KiB wraps to 1024 bytes when multiplied unchecked.
+    const std::string huge = "18014398509481985";
+    expectParseError("{\"kind\":\"run\",\"cache\":{\"size_kb\":" +
+                         huge + "}}",
+                     "cache.size_kb: " + huge + " KiB is out of range");
+    expectParseError("{\"kind\":\"run\",\"levels\":[{\"size_kb\":" +
+                         huge + "}]}",
+                     "levels[].size_kb: " + huge + " KiB is out of range");
+    expectParseError("{\"kind\":\"explore\",\"explore\":{\"sizes_kb\":"
+                     "[16," + huge + "]}}",
+                     "explore.sizes_kb[]: " + huge + " KiB is out of range");
+    expectParseError("{\"kind\":\"explore\",\"explore\":{"
+                     "\"l2_sizes_kb\":[" + huge + "]}}",
+                     "explore.l2_sizes_kb[]: " + huge +
+                         " KiB is out of range");
+    // The largest representable capacity still parses.
+    const JobSpec spec = JobSpec::fromJsonText(
+        "{\"kind\":\"explore\",\"explore\":{\"sizes_kb\":"
+        "[18014398509481983]}}");
+    EXPECT_EQ(spec.exploreSizesKb[0], 18014398509481983u);
+}
+
 TEST(JobSpecTest, CheckpointKnobsAreNotWireKeys)
 {
     // Server-side file paths stay out of the JSON schema by design.

@@ -1,6 +1,8 @@
 /**
  * @file
- * Unit and property tests for the replacement policies.
+ * Unit and property tests for the replacement policy names and the
+ * reference policy models (tests/replacement_reference.hh) that the
+ * packed TagArray encodings are checked against.
  */
 
 #include <gtest/gtest.h>
@@ -9,11 +11,13 @@
 #include <stdexcept>
 
 #include "mem/replacement.hh"
+#include "replacement_reference.hh"
 
 namespace
 {
 
 using namespace c8t::mem;
+using namespace c8t::test;
 
 TEST(ReplKind, NamesRoundTrip)
 {

@@ -72,9 +72,10 @@ struct LevelGuard
     ~LevelGuard() { mem::simd::setLevel(mem::simd::bestSupported()); }
 };
 
-/** The schemes every identity run covers (the four the figures use). */
+/** The schemes every identity run covers (the four the figures use),
+ *  on @p cache (default: the paper's 64 KB / 4-way / 32 B LRU L1). */
 std::vector<ControllerConfig>
-allSchemeConfigs()
+allSchemeConfigs(const mem::CacheConfig &cache = mem::CacheConfig{})
 {
     std::vector<ControllerConfig> cfgs;
     for (WriteScheme s :
@@ -82,6 +83,7 @@ allSchemeConfigs()
           WriteScheme::WriteGrouping,
           WriteScheme::WriteGroupingReadBypass}) {
         ControllerConfig c;
+        c.cache = cache;
         c.scheme = s;
         cfgs.push_back(c);
     }
@@ -334,46 +336,58 @@ TEST(BatchedPipeline, PlannedChunksMatchPerAccessLoop)
         gen.fillChunk(buffer->data(), buffer->size());
     }
 
-    for (SimdLevel l : supportedLevels()) {
-        mem::simd::setLevel(l);
+    // The baseline L1, plus the widest planned shape of each
+    // deterministic policy (16 ways fills the LRU nibble word).
+    std::vector<mem::CacheConfig> shapes(4);
+    for (std::size_t k = 1; k < shapes.size(); ++k)
+        shapes[k].ways = 16;
+    shapes[2].replacement = mem::ReplKind::TreePlru;
+    shapes[3].replacement = mem::ReplKind::Fifo;
 
-        // Batched: the runner plans each chunk and applies it through
-        // runPlannedChunk (the default LRU shape is plan-eligible).
-        core::MultiSchemeRunner runner(allSchemeConfigs());
-        trace::ReplayGenerator replay("gcc", buffer);
-        RunDigest batched;
-        batched.results = runner.run(replay, rc);
-        for (std::size_t i = 0; i < batched.results.size(); ++i) {
-            stats::Registry reg;
-            runner.controller(i).registerStats(reg);
-            std::ostringstream os;
-            reg.dumpJson(os);
-            batched.statsJson.push_back(os.str());
+    for (const mem::CacheConfig &shape : shapes) {
+        for (SimdLevel l : supportedLevels()) {
+            mem::simd::setLevel(l);
+            ASSERT_TRUE(mem::TagArray(shape).planEligible())
+                << shape.toString();
+
+            // Batched: the runner plans each chunk and applies it through
+            // runPlannedChunk (every shape above is plan-eligible).
+            core::MultiSchemeRunner runner(allSchemeConfigs(shape));
+            trace::ReplayGenerator replay("gcc", buffer);
+            RunDigest batched;
+            batched.results = runner.run(replay, rc);
+            for (std::size_t i = 0; i < batched.results.size(); ++i) {
+                stats::Registry reg;
+                runner.controller(i).registerStats(reg);
+                std::ostringstream os;
+                reg.dumpJson(os);
+                batched.statsJson.push_back(os.str());
+            }
+
+            // Reference: the historical one-access-at-a-time loop.
+            RunDigest legacy;
+            for (const ControllerConfig &cfg : allSchemeConfigs(shape)) {
+                mem::FunctionalMemory memory;
+                CacheController ctrl(cfg, memory);
+                for (std::uint64_t i = 0; i < rc.warmupAccesses; ++i)
+                    ctrl.access((*buffer)[i]);
+                ctrl.resetStats();
+                for (std::size_t i = rc.warmupAccesses; i < buffer->size();
+                     ++i)
+                    ctrl.access((*buffer)[i]);
+                ctrl.drain();
+                legacy.results.push_back(core::snapshotResult("gcc", ctrl));
+                stats::Registry reg;
+                ctrl.registerStats(reg);
+                std::ostringstream os;
+                reg.dumpJson(os);
+                legacy.statsJson.push_back(os.str());
+            }
+
+            expectSameDigest(legacy, batched,
+                             "planned " + shape.toString() + "@" +
+                                 mem::simd::toString(l));
         }
-
-        // Reference: the historical one-access-at-a-time loop.
-        RunDigest legacy;
-        for (const ControllerConfig &cfg : allSchemeConfigs()) {
-            mem::FunctionalMemory memory;
-            CacheController ctrl(cfg, memory);
-            for (std::uint64_t i = 0; i < rc.warmupAccesses; ++i)
-                ctrl.access((*buffer)[i]);
-            ctrl.resetStats();
-            for (std::size_t i = rc.warmupAccesses; i < buffer->size();
-                 ++i)
-                ctrl.access((*buffer)[i]);
-            ctrl.drain();
-            legacy.results.push_back(core::snapshotResult("gcc", ctrl));
-            stats::Registry reg;
-            ctrl.registerStats(reg);
-            std::ostringstream os;
-            reg.dumpJson(os);
-            legacy.statsJson.push_back(os.str());
-        }
-
-        expectSameDigest(legacy, batched,
-                         std::string("planned@") +
-                             mem::simd::toString(l));
     }
 }
 

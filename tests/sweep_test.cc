@@ -2,22 +2,29 @@
  * @file
  * Tests for the parallel sweep engine: results must be bit-identical to
  * the legacy serial loop for every worker count, exceptions must
- * propagate, worker-count resolution must honour C8T_JOBS, and the
- * architectural memory-equivalence property must hold through the
- * parallel path exactly as it does serially.
+ * propagate, worker-count resolution must honour C8T_JOBS, nested runs
+ * must stay on the pool that executes them, and the architectural
+ * memory-equivalence property must hold through the parallel path
+ * exactly as it does serially.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/simulator.hh"
 #include "core/sweep.hh"
+#include "core/worker_pool.hh"
+#include "obs/metrics.hh"
+#include "obs/prof.hh"
 #include "trace/markov_stream.hh"
 #include "trace/spec_profiles.hh"
 
@@ -204,6 +211,88 @@ TEST(ParallelSweeper, PrepareHookRunsBeforeTheRun)
     ParallelSweeper(2).run(jobs, kRc, "prepare");
     for (std::size_t i = 0; i < jobs.size(); ++i)
         EXPECT_EQ(requests_at_prepare[i], 0u) << i;
+}
+
+/** Jobs per worker track in the process metrics (profiler on only). */
+std::vector<std::uint64_t>
+jobsPerTrack()
+{
+    std::vector<std::uint64_t> out;
+    for (const obs::Metrics::WorkerStats &w : obs::globalMetrics().workers())
+        out.push_back(w.jobs);
+    return out;
+}
+
+TEST(ParallelSweeper, NestedRunMatchesTopLevelAndStaysOnItsPoolsTracks)
+{
+    ASSERT_EQ(core::globalSweepPool(), nullptr);
+    const auto reference = runSerialReference();
+    obs::prof::setEnabled(true);
+    const std::vector<std::uint64_t> before = jobsPerTrack();
+
+    // Each of two outer jobs re-runs the whole job list from its
+    // inspect hook, asking for more workers than the outer run has:
+    // the nested run must execute on the outer pool's worker, so every
+    // job span stays on one of the outer run's two tracks.
+    std::vector<SweepJob> outer = makeJobs();
+    outer.resize(2);
+    std::vector<std::vector<std::vector<SchemeRunResult>>> nested(
+        outer.size());
+    std::vector<const core::SweepPool *> pools(outer.size());
+    for (std::size_t i = 0; i < outer.size(); ++i) {
+        outer[i].inspect = [&nested, &pools, i](core::MultiSchemeRunner &) {
+            pools[i] = core::SweepPool::current();
+            nested[i] = ParallelSweeper(8).run(makeJobs(), kRc, "inner");
+        };
+    }
+    const auto top = ParallelSweeper(2).run(outer, kRc, "outer");
+    obs::prof::setEnabled(false);
+
+    ASSERT_EQ(top.size(), outer.size());
+    for (std::size_t i = 0; i < outer.size(); ++i) {
+        EXPECT_NE(pools[i], nullptr) << i;
+        EXPECT_TRUE(top[i] == reference[i]) << kProfiles[i];
+        ASSERT_EQ(nested[i].size(), reference.size()) << i;
+        for (std::size_t p = 0; p < reference.size(); ++p)
+            EXPECT_TRUE(nested[i][p] == reference[p]) << i << "/" << p;
+    }
+
+    const std::vector<std::uint64_t> after = jobsPerTrack();
+    std::uint64_t counted = 0;
+    for (std::size_t w = 0; w < after.size(); ++w) {
+        const std::uint64_t delta =
+            after[w] - (w < before.size() ? before[w] : 0);
+        counted += delta;
+        if (w >= 2) {
+            EXPECT_EQ(delta, 0u) << "job span on track " << w;
+        }
+    }
+    EXPECT_EQ(counted, outer.size() * (1 + kProfiles.size()));
+}
+
+TEST(ParallelSweeper, EmptyJobListReturnsEmptyWithoutAPool)
+{
+    ASSERT_EQ(core::globalSweepPool(), nullptr);
+    // A pool built for zero jobs would resolve to the default width
+    // (C8T_JOBS = 3 here) and report it in the perf record; no pool
+    // leaves the record at one track.
+    const std::string path = ::testing::TempDir() + "empty_sweep.jsonl";
+    std::remove(path.c_str());
+    ::setenv("C8T_JOBS", "3", 1);
+    ::setenv("C8T_BENCH_JSON", path.c_str(), 1);
+    const auto out = ParallelSweeper(4).run({}, kRc, "empty");
+    ::unsetenv("C8T_BENCH_JSON");
+    ::unsetenv("C8T_JOBS");
+
+    EXPECT_TRUE(out.empty());
+    std::ifstream in(path);
+    std::stringstream record;
+    record << in.rdbuf();
+    EXPECT_NE(record.str().find("\"label\":\"empty\",\"jobs\":0,"
+                                "\"workers\":1,"),
+              std::string::npos)
+        << record.str();
+    std::remove(path.c_str());
 }
 
 TEST(ParallelSweeper, SpecSweepJobsCoverEveryProfile)

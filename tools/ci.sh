@@ -15,13 +15,16 @@
 #      -fno-sanitize-recover=all) and run the voltage-model, SEC-DED
 #      and fault-map tests under it (the numeric subsystem with the
 #      most UB surface: pow/exp/ceil scaling, bit_cast seeding,
-#      fault-map index math, codeword shifts and masks).
+#      fault-map index math, codeword shifts and masks), plus the
+#      replacement tests: the nibble-per-way LRU word shifts up to bit
+#      60, where one shift too far is a shift by 64.
 #   4. Configure + build a TSan tree (-DC8T_TSAN=ON) and run the
-#      parallel sweep test under it (the data-race surface), plus the
-#      Vdd-sweep, hierarchy and explorer tests: sweep workers — the
-#      explorer's included, which evaluate its cells as Vdd sweeps —
-#      re-price energy and run fault-map campaigns concurrently,
-#      contending on the FaultMapCache's in-flight slots.
+#      parallel sweep and SweepPool tests under it (the data-race
+#      surface: every sweep runs on a SweepPool), plus the Vdd-sweep,
+#      hierarchy and explorer tests: sweep workers — the explorer's
+#      included, which evaluate its cells as Vdd sweeps — re-price
+#      energy and run fault-map campaigns concurrently, contending on
+#      the FaultMapCache's in-flight slots.
 #   5. Metrics smoke: run the fig11 sweep with the phase profiler off
 #      and on (C8T_PROF=1 + C8T_METRICS) and require byte-identical
 #      stdout plus a non-empty Prometheus exposition — profiling must
@@ -91,22 +94,24 @@ for t in stream_identity_test simd_identity_test sweep_test \
     "$repo_root/build-asan/tests/$t"
 done
 
-echo "==== ubsan: build + voltage-model and fault-map tests ===="
+echo "==== ubsan: build + voltage-model, fault-map and replacement tests ===="
 cmake -B "$repo_root/build-ubsan" -S "$repo_root" -DC8T_UBSAN=ON
 cmake --build "$repo_root/build-ubsan" -j "$jobs" --target \
     vmodel_test vdd_sweep_test ecc_test fault_injection_test \
-    fault_map_reference_test
+    fault_map_reference_test replacement_test packed_repl_property_test
 for t in vmodel_test vdd_sweep_test ecc_test fault_injection_test \
-         fault_map_reference_test; do
+         fault_map_reference_test replacement_test \
+         packed_repl_property_test; do
     echo "---- ubsan: $t ----"
     "$repo_root/build-ubsan/tests/$t"
 done
 
-echo "==== tsan: build + parallel sweep, Vdd-sweep, hierarchy, explorer tests ===="
+echo "==== tsan: build + sweep, pool, Vdd-sweep, hierarchy, explorer tests ===="
 cmake -B "$repo_root/build-tsan" -S "$repo_root" -DC8T_TSAN=ON
-cmake --build "$repo_root/build-tsan" -j "$jobs" \
-    --target sweep_test vdd_sweep_test hierarchy_test explorer_test
-for t in sweep_test vdd_sweep_test hierarchy_test explorer_test; do
+cmake --build "$repo_root/build-tsan" -j "$jobs" --target sweep_test \
+    worker_pool_test vdd_sweep_test hierarchy_test explorer_test
+for t in sweep_test worker_pool_test vdd_sweep_test hierarchy_test \
+         explorer_test; do
     echo "---- tsan: $t ----"
     "$repo_root/build-tsan/tests/$t"
 done
